@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes everywhere: 0 = YES / pass, 1 = NO / fail, 2 = usage or input
-error.  All randomness is driven by an explicit --seed (default 0) so runs
-are reproducible; reports are identical across runs except for timing fields.
+Exit codes everywhere: 0 = YES / pass, 1 = NO / fail, 2 = usage, input or
+internal error.  All randomness is driven by an explicit --seed (default 0) so
+runs are reproducible; reports are identical across runs except for timing
+fields.
 """
 
 from __future__ import annotations
@@ -321,6 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, OracleLimitError, ContractError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 means NO or false, so a crash must never surface as it.
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -55,9 +55,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
 
 def parse_graph(text: str) -> Graph:
     """Read the graph format: an 'n m' header, then m lines 'u v' with u < v."""

@@ -1,12 +1,14 @@
 """Exact decision procedure for the diversity-completion problem.
 
-The pipeline: cap duplicate rows at k copies, strip rows that carry more than
-(k-1)(r+1) unknowns (decrementing k and remembering how to rebuild them), try
-a cheap greedy certificate, and fall back to exact enumeration below the
-row-count gate.  Above the gate, either every neighborhood is sparse enough
-for the guaranteed greedy, or a sunflower argument identifies a row whose
-removal provably preserves the answer.  `exhaustive_solve` is the independent
-ground truth used by the test harnesses.
+`solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  Reduce
+caps duplicate rows at k copies and strips rows with more than (k-1)(r+1)
+unknowns, decrementing k.  A cheap greedy pass looks for a certificate.  While
+at least k * gate rows remain, the kernel answers with the guaranteed greedy
+once every neighborhood is sparse, or prunes a row whose removal a sunflower
+argument shows preserves the answer; it keeps the neighborhood sizes up to
+date across removals.  Below the gate the exact search decides.  A YES
+witness is lifted back through the removals and verified.
+`exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
 from __future__ import annotations
@@ -126,7 +128,6 @@ def neighborhood_gate(k: int, r: int) -> int:
 class Thresholds:
     """The solver's size gates; `certified` drops when a test override is set."""
 
-    bound: int
     gate: int
     target: int
     certified: bool = True
@@ -140,7 +141,6 @@ class Thresholds:
         gate_override: int | None = None,
         target_override: int | None = None,
     ) -> "Thresholds":
-        bound = neighborhood_bound(k, r)
         gate = neighborhood_gate(k, r)
         target = sunflower_target(k, r)
         certified = gate_override is None and target_override is None
@@ -152,7 +152,7 @@ class Thresholds:
             if target_override < 2:
                 raise ValueError("sunflower target override must be at least 2")
             target = target_override
-        return cls(bound, gate, target, certified)
+        return cls(gate, target, certified)
 
 
 def strip_heavy_row(instance: Instance) -> tuple[Instance, Removal] | None:
@@ -236,8 +236,8 @@ def greedy_select(instance: Instance, thresholds: Thresholds) -> Solution:
     """Greedy selection with a success guarantee.
 
     Preconditions: at least k * gate rows and every row's r-neighborhood
-    smaller than the gate; then each round removes at most gate rows, so k
-    rounds always complete.
+    smaller than the gate; then each round of `greedy_attempt` removes fewer
+    than gate rows, so k rounds always complete.
     """
     k, r = instance.k, instance.r
     if instance.n < k * thresholds.gate:
@@ -250,21 +250,10 @@ def greedy_select(instance: Instance, thresholds: Thresholds) -> Solution:
             raise NotApplicableError(
                 f"row {i} has an r-neighborhood of size {size} >= gate {thresholds.gate}"
             )
-    picks: list[int] = []
-    alive = list(range(instance.n))
-    rows = instance.rows
-    for _ in range(k):
-        if not alive:
-            raise ContractError("greedy ran out of rows despite the size preconditions")
-        v = alive[0]
-        picks.append(v)
-        vrow = rows[v]
-        survivors = [j for j in alive if known_distance(vrow, rows[j]) > r]
-        if len(alive) - len(survivors) > thresholds.gate:
-            raise ContractError("a greedy round removed more rows than the gate allows")
-        alive = survivors
-    completed = tuple(row.complete_zeros() for row in rows)
-    return Solution(completed, frozenset(picks))
+    solution = greedy_attempt(instance)
+    if solution is None:
+        raise ContractError("greedy ran out of rows despite the size preconditions")
+    return solution
 
 
 def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, int]]:
@@ -528,6 +517,34 @@ def _cap_duplicates(
     return kept, events
 
 
+def _kernel(
+    current: Instance, thresholds: Thresholds, events: list[Removal]
+) -> tuple[Solution | None, str]:
+    """The kernel and exact stages; each pruned row is appended to `events`.
+
+    Prunes from the largest r-neighborhood (lowest index on ties).  The sizes
+    are computed once, then lowered by one for the rows within distance r of
+    each pruned row.
+    """
+    k, r = current.k, current.r
+    sizes: list[int] | None = None
+    while current.n >= k * thresholds.gate:
+        if sizes is None:
+            sizes = [len(neighborhood(current, i, r)) for i in range(current.n)]
+        biggest = max(sizes)
+        if biggest < thresholds.gate:
+            return greedy_select(current, thresholds), "greedy-bounded"
+        f = find_prunable_row(current, sizes.index(biggest), thresholds)
+        pruned = current.rows[f]
+        events.append(Removal(f, pruned, PRUNED))
+        current = Instance(current.rows[:f] + current.rows[f + 1 :], k, r, current.d)
+        del sizes[f]
+        for j, row in enumerate(current.rows):
+            if known_distance(pruned, row) <= r:
+                sizes[j] -= 1
+    return brute_force(current).witness, "brute-force"
+
+
 def solve(
     instance: Instance,
     *,
@@ -545,78 +562,44 @@ def solve(
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()
 
-    events: list[Removal] = []
-    rows = list(instance.rows)
-    k, r, d = instance.k, instance.r, instance.d
-
-    rows, dup_events = _cap_duplicates(rows, k)
-    events.extend(dup_events)
-
-    while k >= 1:
-        budget = (k - 1) * (r + 1)
-        idx = next((i for i, row in enumerate(rows) if row.unknown_count > budget), None)
-        if idx is None:
-            break
-        events.append(Removal(idx, rows.pop(idx), HEAVY))
-        k -= 1
+    r, d = instance.r, instance.d
+    rows, events = _cap_duplicates(list(instance.rows), instance.k)
+    current = Instance(tuple(rows), instance.k, r, d)
+    while (stripped := strip_heavy_row(current)) is not None:
+        current, removal = stripped
+        events.append(removal)
+    k = current.k
     if k < instance.k:
         # k dropped, so the duplicate cap must tighten to the new k as well.
-        rows, dup_events = _cap_duplicates(rows, k)
+        rows, dup_events = _cap_duplicates(list(current.rows), k)
         events.extend(dup_events)
+        current = Instance(tuple(rows), k, r, d)
     t1 = perf_counter()
     stages.append(("reduce", t1 - t0))
 
-    witness: Solution | None = None
-    answer = False
-    method = ""
-    if k == 0:
-        witness = Solution(tuple(row.complete_zeros() for row in rows), frozenset())
-        method = "shortcut"
-    elif k == 1:
-        if rows:
-            witness = Solution(tuple(row.complete_zeros() for row in rows), frozenset({0}))
-        method = "shortcut"
+    if k < 2:
+        # At most one row to pick, so the greedy pass is already exact.
+        witness, method = greedy_attempt(current), "shortcut"
     else:
-        current = Instance(tuple(rows), k, r, d)
         thresholds = Thresholds.for_parameters(
             k, r, gate_override=gate_override, target_override=target_override
         )
-        witness = greedy_attempt(current)
-        if witness is not None:
-            method = "greedy"
-        else:
-            while True:
-                if current.n < k * thresholds.gate:
-                    outcome = brute_force(current)
-                    witness = outcome.witness
-                    method = "brute-force"
-                    break
-                sizes = [len(neighborhood(current, i, r)) for i in range(current.n)]
-                biggest = max(sizes)
-                if biggest < thresholds.gate:
-                    witness = greedy_select(current, thresholds)
-                    method = "greedy-bounded"
-                    break
-                v_index = sizes.index(biggest)
-                f = find_prunable_row(current, v_index, thresholds)
-                events.append(Removal(f, current.rows[f], PRUNED))
-                remaining = current.rows[:f] + current.rows[f + 1 :]
-                current = Instance(remaining, k, r, d)
+        witness, method = greedy_attempt(current), "greedy"
+        if witness is None:
+            witness, method = _kernel(current, thresholds, events)
     t2 = perf_counter()
     stages.append(("decide", t2 - t1))
 
     if witness is not None:
-        answer = True
+        completed, selected = list(witness.completed), witness.selected
         for event in reversed(events):
             if event.kind == HEAVY:
-                witness = lift_heavy_row(witness, event, r)
+                lifted = lift_heavy_row(Solution(completed, selected), event, r)
+                completed, selected = list(lifted.completed), lifted.selected
             else:
-                completed = list(witness.completed)
                 completed.insert(event.index, event.row.complete_zeros())
-                selected = frozenset(
-                    i if i < event.index else i + 1 for i in witness.selected
-                )
-                witness = Solution(tuple(completed), selected)
+                selected = frozenset(i if i < event.index else i + 1 for i in selected)
+        witness = Solution(tuple(completed), selected)
         t3 = perf_counter()
         stages.append(("lift", t3 - t2))
         report = verify_solution(instance, witness)
@@ -626,4 +609,4 @@ def solve(
             )
         stages.append(("verify", perf_counter() - t3))
 
-    return SolveOutcome(answer, witness, tuple(events), method, tuple(stages))
+    return SolveOutcome(witness is not None, witness, tuple(events), method, tuple(stages))

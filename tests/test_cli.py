@@ -140,6 +140,15 @@ class TestFo:
         record = json.loads(report_path.read_text())
         assert "agree" in record and "h_holds" in record and "g_holds" in record
 
+    def test_crash_exits_two_not_false(self, tmp_path, capsys):
+        # The recursive parser overflows on this nesting; exit 1 would read
+        # as "false".
+        formula = write(tmp_path / "deep.fo", "exists x. " + "~" * 20000 + "x=x\n")
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        assert main(["fo", "check", formula, graph]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_formula_exit_two(self, tmp_path):
         formula = write(tmp_path / "f.fo", "E(x,y)\n")
         graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")

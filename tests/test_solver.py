@@ -18,6 +18,7 @@ from divset import (
     greedy_select,
     known_distance,
     lift_heavy_row,
+    neighborhood,
     neighborhood_bound,
     neighborhood_gate,
     row_signature,
@@ -26,7 +27,7 @@ from divset import (
     sunflower_target,
     verify_solution,
 )
-from divset.solver import HEAVY, Removal, SATURATION_CAP
+from divset.solver import DUPLICATE, HEAVY, PRUNED, Removal, SATURATION_CAP
 
 CAP = SATURATION_CAP
 
@@ -232,6 +233,15 @@ class TestSolve:
         assert sum(1 for e in outcome.trace if e.kind == "duplicate-cap") == 3
         assert not outcome.answer  # identical full rows are never r+1 apart
 
+        # The first cap keeps three 0000 rows for k = 3; stripping ???? drops
+        # k to 2, so the second cap removes one more copy.
+        instance = inst(["????", "0000", "0000", "0000", "0000", "1111"], 3, 0)
+        outcome = solve(instance)
+        kinds = [e.kind for e in outcome.trace]
+        assert {kind: kinds.count(kind) for kind in kinds} == {DUPLICATE: 2, HEAVY: 1}
+        assert outcome.answer and outcome.method == "greedy"
+        assert verify_solution(instance, outcome.witness).ok
+
     def test_micro_differential(self):
         rng = random.Random(99)
         for _ in range(400):
@@ -270,6 +280,44 @@ class TestSolve:
         assert any(e.kind == "pruned" for e in outcome.trace)
         assert outcome.answer == exhaustive_solve(instance).answer
         assert verify_solution(instance, outcome.witness).ok
+
+    def test_kernel_prunes_like_full_recompute(self):
+        # The unit family around 0^d, plus the one-flip neighbours of a second
+        # centre 1110...0 at distance 3.  Greedy picks the two centres and runs
+        # out of rows, the largest neighborhood moves between them as rows are
+        # pruned, and some rows sit exactly r+1 from the pruned ones, so stale
+        # or misapplied neighborhood sizes change which rows go.
+        def reference_pruned(instance, thresholds):
+            current, pruned = instance, []
+            while current.n >= instance.k * thresholds.gate:
+                sizes = [len(neighborhood(current, i, instance.r)) for i in range(current.n)]
+                if max(sizes) < thresholds.gate:
+                    break
+                f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
+                pruned.append(Removal(f, current.rows[f], PRUNED))
+                rows = current.rows[:f] + current.rows[f + 1 :]
+                current = Instance(rows, instance.k, instance.r, instance.d)
+            return pruned
+
+        rng = random.Random(1)
+        thresholds = Thresholds.for_parameters(3, 1, gate_override=4, target_override=3)
+        chains = 0
+        for _ in range(30):
+            d = rng.randint(8, 11)
+            centres = ["0" * d, "111" + "0" * (d - 3)]
+            rows = []
+            for centre in centres:
+                for i in rng.sample(range(d), rng.randint(5, 7)):
+                    rows.append(centre[:i] + str(1 - int(centre[i])) + centre[i + 1 :])
+            rng.shuffle(rows)
+            instance = inst(centres + rows, 3, 1, d)
+            outcome = solve(instance, gate_override=4, target_override=3)
+            assert list(outcome.trace) == reference_pruned(instance, thresholds)
+            expected = exhaustive_solve(instance, max_rows=instance.n)
+            assert outcome.answer == expected.answer
+            assert verify_solution(instance, outcome.witness).ok
+            chains += len(outcome.trace) >= 2
+        assert chains >= 25
 
     def test_stage_timings_present(self):
         outcome = solve(inst(["0?", "11"], 2, 1))
