@@ -194,6 +194,8 @@ _BENCH_CASES = [
     ("wildcards", {"rows": 12, "d": 10, "k": 3, "r": 2, "density": 0.0}),
     ("wildcards", {"rows": 12, "d": 10, "k": 3, "r": 2, "density": 0.15}),
     ("wildcards", {"rows": 12, "d": 10, "k": 3, "r": 2, "density": 0.3}),
+    ("exact", {"rows": 60, "d": 24, "k": 4, "r": 14, "density": 0.0}),
+    ("exact", {"rows": 120, "d": 24, "k": 4, "r": 14, "density": 0.0}),
 ]
 
 

@@ -10,7 +10,8 @@ Concrete syntax:
 
 Variables match [a-z][a-z0-9]*; "exists" and "forall" are reserved.  The
 parser additionally accepts redundant grouping parentheses; the serializer
-emits the canonical minimal form.
+emits the canonical minimal form.  Nesting deeper than 500 levels is a
+ParseError.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def to_text(phi: Formula) -> str:
     return f"{word} {phi.var}. {to_text(phi.body)}"
 
 
+# Deepest nesting the parser accepts, counting the whole formula as level 1
+# and each operand, quantifier body or parenthesised group as one more.  The
+# recursive functions below stay inside Python's default stack at this depth,
+# except on the output of `rewrite_sentence`, which nests a chain of
+# quantifiers twice as deep.
+_MAX_DEPTH = 500
+
 _TOKEN = re.compile(r"->|[()~&|=.,]|E(?![a-z0-9])|[a-z][a-z0-9]*")
 
 
@@ -162,22 +170,25 @@ class _Parser:
         self.cursor += 1
         return token
 
-    def formula(self) -> Formula:
+    def formula(self, depth: int = 1) -> Formula:
         token = self.peek()
         if token is None:
             raise ParseError("empty formula")
+        if depth > _MAX_DEPTH:
+            pos = self.tokens[self.cursor][1]
+            raise ParseError(f"formula nests deeper than {_MAX_DEPTH} levels at position {pos}")
         if token == "~":
             self.take()
-            return Not(self.formula())
+            return Not(self.formula(depth + 1))
         if token in _KEYWORDS:
             self.take()
             var = self.variable()
             self.take(".")
-            body = self.formula()
+            body = self.formula(depth + 1)
             return Exists(var, body) if token == "exists" else ForAll(var, body)
         if token == "(":
             self.take()
-            left = self.formula()
+            left = self.formula(depth + 1)
             op = self.peek()
             if op == ")":
                 # Redundant grouping; accepted, not part of the canonical form.
@@ -186,7 +197,7 @@ class _Parser:
             if op not in ("&", "|", "->"):
                 raise ParseError(f"expected a connective, got {op!r}")
             self.take()
-            right = self.formula()
+            right = self.formula(depth + 1)
             self.take(")")
             if op == "&":
                 return And(left, right)

@@ -6,8 +6,12 @@ unknowns, decrementing k.  A cheap greedy pass looks for a certificate.  While
 at least k * gate rows remain, the kernel answers with the guaranteed greedy
 once every neighborhood is sparse, or prunes a row whose removal a sunflower
 argument shows preserves the answer; it keeps the neighborhood sizes up to
-date across removals.  Below the gate the exact search decides.  A YES
-witness is lifted back through the removals and verified.
+date across removals.  Below the gate the exact search decides: a k-clique
+search over the bitset graph of row pairs that can still reach distance
+r+1, in lexicographic order, with completions tried in counting order and
+forward-checked.  It finds the same first (subset, completion) as a walk
+over all k-subsets.  A YES witness is lifted back through the removals and
+verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -17,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from time import perf_counter
+from typing import Iterator
 
 from .errors import ContractError, NotApplicableError, OracleLimitError
 from .sunflowers import SetFamily, find_sunflower
@@ -261,16 +266,18 @@ def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, in
 
     Contains ("u", j) where x is unknown at j, and ("d", j) where x is known
     and differs from v.  Positions are 0-based; coordinates where v itself is
-    unknown are skipped.
+    unknown are skipped.  Built from the bit masks, so the cost follows the
+    signature's size rather than d.
     """
-    elems: list[tuple[str, int]] = []
-    for j, (vc, xc) in enumerate(zip(v.text, x.text)):
-        if vc == "?":
-            continue
-        if xc == "?":
-            elems.append(("u", j))
-        elif xc != vc:
-            elems.append(("d", j))
+    d = v.d
+    unknown = (v.ones | v.zeros) & ~(x.ones | x.zeros)
+    differ = (x.ones & v.zeros) | (x.zeros & v.ones)
+    elems = []
+    for tag, mask in (("u", unknown), ("d", differ)):
+        while mask:
+            low = mask & -mask
+            elems.append((tag, d - low.bit_length()))
+            mask ^= low
     return frozenset(elems)
 
 
@@ -354,37 +361,53 @@ def _completion_masks(row: PartialVector) -> list[int]:
 
 
 def brute_force(instance: Instance) -> SolveOutcome:
-    """Exact enumeration: k-subsets of rows in lexicographic order, and per
-    subset all completions of that subset's unknowns in counting order; the
-    first assignment putting all pairs at distance >= r+1 wins.  Rows outside
-    the subset complete to zeros.  Intended for instances below the row gate
-    but callable on anything."""
+    """Exact search: the first k-subset of rows, in lexicographic order, whose
+    rows can be completed pairwise at distance >= r+1, with the first such
+    completion of that subset in counting order.  Rows outside the subset
+    complete to zeros.  Intended for instances below the row gate but
+    callable on anything.
+
+    Two rows are compatible when their guaranteed disagreements plus every
+    coordinate unknown in at least one of them reach r+1; a valid subset is
+    a k-clique of that graph.  Row a's compatible later rows are one int
+    bitset, built on first use.  The cliques come in
+    `itertools.combinations` order: take the lowest candidate, recurse on
+    the candidates after it that are compatible with it, and give up a level
+    once fewer candidates remain than rows are missing.  Each clique goes to
+    `_assign`.  Both cuts only skip subsets or completions that hold no
+    solution, so the witness is the one a plain walk over all subsets and
+    completions finds first.
+    """
     k, r, d = instance.k, instance.r, instance.d
     rows = instance.rows
     n = instance.n
     need = r + 1
     full = (1 << d) - 1
     unknown_masks = [full ^ (row.ones | row.zeros) for row in rows]
-    comp_cache: dict[int, list[int]] = {}
+    later: dict[int, int] = {}
+    completions: dict[int, list[int]] = {}
+
+    def later_of(a: int) -> int:
+        if a not in later:
+            ra, ua = rows[a], unknown_masks[a]
+            bits = 0
+            for b in range(a + 1, n):
+                rb = rows[b]
+                sure = ((ra.ones & rb.zeros) | (ra.zeros & rb.ones)).bit_count()
+                # Best reachable distance: guaranteed disagreements plus every
+                # coordinate unknown in at least one of the two rows.
+                if sure + (ua | unknown_masks[b]).bit_count() >= need:
+                    bits |= 1 << b
+            later[a] = bits
+        return later[a]
 
     def masks_of(i: int) -> list[int]:
-        if i not in comp_cache:
-            comp_cache[i] = _completion_masks(rows[i])
-        return comp_cache[i]
+        if i not in completions:
+            completions[i] = _completion_masks(rows[i])
+        return completions[i]
 
-    for subset in itertools.combinations(range(n), k):
-        feasible = True
-        for a, b in itertools.combinations(subset, 2):
-            ra, rb = rows[a], rows[b]
-            sure = ((ra.ones & rb.zeros) | (ra.zeros & rb.ones)).bit_count()
-            # Best reachable distance: guaranteed disagreements plus every
-            # coordinate unknown in at least one of the two rows.
-            if sure + (unknown_masks[a] | unknown_masks[b]).bit_count() < need:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        chosen = _assign(subset, masks_of, need)
+    for subset in _cliques(k, (1 << n) - 1, later_of):
+        chosen = _assign([masks_of(i) for i in subset], need)
         if chosen is None:
             continue
         lookup = dict(zip(subset, chosen))
@@ -397,21 +420,47 @@ def brute_force(instance: Instance) -> SolveOutcome:
     return SolveOutcome(False, None, (), "brute-force")
 
 
-def _assign(subset: tuple[int, ...], masks_of, need: int) -> list[int] | None:
-    chosen: list[int] = []
+def _cliques(size: int, cand: int, later_of) -> Iterator[list[int]]:
+    """Every `size`-subset of the candidate bitset whose members are pairwise
+    compatible (`later_of(v)` is the bitset of v's compatible later rows),
+    in `itertools.combinations` order."""
+    if size == 0:
+        yield []
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        rest = cand & later_of(v) if size > 1 else 0
+        for tail in _cliques(size - 1, rest, later_of):
+            yield [v, *tail]
 
-    def descend(depth: int) -> bool:
-        if depth == len(subset):
-            return True
-        for mask in masks_of(subset[depth]):
-            if all((mask ^ prev).bit_count() >= need for prev in chosen):
-                chosen.append(mask)
-                if descend(depth + 1):
-                    return True
-                chosen.pop()
-        return False
 
-    return chosen if descend(0) else None
+def _assign(options: list[list[int]], need: int) -> list[int] | None:
+    """One completion per row, pairwise at distance >= need, or None.
+
+    Depth-first in counting order: the first row takes its completions in
+    order, and each choice narrows every later row's list to the masks still
+    `need` away from it, keeping their order.  A choice that empties a list
+    is skipped, since no completion of the remaining rows can follow it.  So
+    the result is the first tuple in counting order, as a plain depth-first
+    walk that checks each mask against the earlier choices would return.
+    """
+    if not options:
+        return []
+    first, rest = options[0], options[1:]
+    for mask in first:
+        narrowed = []
+        for masks in rest:
+            kept = [m for m in masks if (m ^ mask).bit_count() >= need]
+            if not kept:
+                break
+            narrowed.append(kept)
+        else:
+            tail = _assign(narrowed, need)
+            if tail is not None:
+                return [mask, *tail]
+    return None
 
 
 def exhaustive_solve(

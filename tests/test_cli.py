@@ -141,13 +141,34 @@ class TestFo:
         assert "agree" in record and "h_holds" in record and "g_holds" in record
 
     def test_crash_exits_two_not_false(self, tmp_path, capsys):
-        # The recursive parser overflows on this nesting; exit 1 would read
-        # as "false".
+        # Far past the depth limit; exit 1 would read as "false", and a
+        # recursion overflow would surface as an unexpected error.
         formula = write(tmp_path / "deep.fo", "exists x. " + "~" * 20000 + "x=x\n")
         graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
         assert main(["fo", "check", formula, graph]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unexpected" not in err
+
+    @staticmethod
+    def nested(levels):
+        # The quantifier and the atom are one level each, every "~" one more.
+        return "exists x. " + "~" * (levels - 2) + "x=x\n"
+
+    @pytest.mark.parametrize("command", ["check", "harness"])
+    def test_depth_limit_accepted(self, tmp_path, capsys, command):
+        formula = write(tmp_path / "f.fo", self.nested(500))
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        assert main(["fo", command, formula, graph]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["check", "harness"])
+    def test_past_depth_limit_exit_two(self, tmp_path, capsys, command):
+        formula = write(tmp_path / "f.fo", self.nested(501))
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        assert main(["fo", command, formula, graph]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: formula nests deeper than 500 levels at position 509\n"
 
     def test_bad_formula_exit_two(self, tmp_path):
         formula = write(tmp_path / "f.fo", "E(x,y)\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -150,6 +151,24 @@ class TestPruning:
         sig = row_signature(PartialVector("0000"), PartialVector("1?00"))
         assert sig == {("d", 0), ("u", 1)}
 
+    def test_signature_matches_character_walk(self):
+        def reference(v, x):
+            elems = set()
+            for j, (vc, xc) in enumerate(zip(v.text, x.text)):
+                if vc != "?" and xc == "?":
+                    elems.add(("u", j))
+                elif vc != "?" and xc != vc:
+                    elems.add(("d", j))
+            return elems
+
+        rng = random.Random(53)
+        for _ in range(2000):
+            d = rng.randint(0, 70)
+            v, x = (
+                PartialVector("".join(rng.choice("01?") for _ in range(d))) for _ in range(2)
+            )
+            assert row_signature(v, x) == reference(v, x), (v, x)
+
     def test_unit_vector_family(self):
         instance = inst(["0000", "1000", "0100", "0010", "0001"], 2, 1)
         th = Thresholds.for_parameters(2, 1, gate_override=5, target_override=3)
@@ -183,6 +202,80 @@ class TestBruteForce:
     def test_empty_instance_k0(self):
         outcome = brute_force(Instance((), 0, 5, 0))
         assert outcome.answer and outcome.witness.selected == frozenset()
+
+    @staticmethod
+    def reference(instance):
+        """Every k-subset in order, every completion of it in counting order,
+        checking each pair as it goes: the walk the clique search replaces."""
+        need = instance.r + 1
+        rows = instance.rows
+        for subset in itertools.combinations(range(instance.n), instance.k):
+            options = []
+            for i in subset:
+                fills = itertools.product("01", repeat=rows[i].unknown_count)
+                positions = rows[i].unknown_positions()
+                options.append([rows[i].completed_with(dict(zip(positions, f))) for f in fills])
+            chosen = []
+
+            def descend(depth):
+                if depth == len(subset):
+                    return True
+                for row in options[depth]:
+                    if all(known_distance(row, prev) >= need for prev in chosen):
+                        chosen.append(row)
+                        if descend(depth + 1):
+                            return True
+                        chosen.pop()
+                return False
+
+            if descend(0):
+                lookup = dict(zip(subset, chosen))
+                completed = [lookup.get(i, row.complete_zeros()) for i, row in enumerate(rows)]
+                return [row.text for row in completed], sorted(subset)
+        return None
+
+    def test_matches_subset_walk(self):
+        rng = random.Random(41)
+        kinds = {"yes": 0, "no": 0, "k=0": 0, "k>n": 0, "n=0": 0}
+        for _ in range(1500):
+            n, d = rng.randint(0, 9), rng.randint(1, 6)
+            k, r = rng.randint(0, 5), rng.randint(0, 3)
+            density = rng.uniform(0.0, 0.4)
+            rows = [
+                "".join("?" if rng.random() < density else rng.choice("01") for _ in range(d))
+                for _ in range(n)
+            ]
+            instance = inst(rows, k, r, d)
+            outcome = brute_force(instance)
+            expected = self.reference(instance)
+            assert outcome.answer == (expected is not None), rows
+            if expected is not None:
+                witness = outcome.witness
+                assert ([v.text for v in witness.completed], sorted(witness.selected)) == expected
+            kinds["yes" if outcome.answer else "no"] += 1
+            kinds["k=0"] += k == 0
+            kinds["k>n"] += k > n
+            kinds["n=0"] += n == 0
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_clustered_no_at_160_rows(self):
+        # Every row is 5 flips from one base, so no pair reaches r+1 = 11;
+        # walking all C(160, 4) subsets took 10-14 s.
+        rng = random.Random(160)
+        d = 24
+        base = [rng.choice("01") for _ in range(d)]
+        rows = []
+        for _ in range(160):
+            cells = list(base)
+            for p in rng.sample(range(d), 5):
+                cells[p] = "1" if cells[p] == "0" else "0"
+            rows.append("".join(cells))
+        instance = inst(rows, 4, 10, d)
+        started = time.perf_counter()
+        outcome = solve(instance)
+        elapsed = time.perf_counter() - started
+        assert not outcome.answer and outcome.method == "brute-force"
+        assert elapsed < 5
 
 
 class TestExhaustive:
