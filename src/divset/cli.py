@@ -92,6 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "answer": "YES" if outcome.answer else "NO",
         "method": outcome.method,
         "trace_summary": _trace_summary(outcome),
+        "stats": dict(outcome.stats),
         "timings": {
             "total_seconds": elapsed,
             "stages": {name: seconds for name, seconds in outcome.stage_seconds},
@@ -242,6 +243,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "digest": digest,
                 "answer": "YES" if outcome.answer else "NO",
                 "method": outcome.method,
+                "stats": dict(outcome.stats),
                 "seconds": elapsed,
                 "stages": {name: seconds for name, seconds in outcome.stage_seconds},
             }

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ContractError, NotApplicableError, OracleLimitError
 from .sunflowers import SetFamily, find_sunflower
@@ -57,11 +57,20 @@ class Removal:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """The answer, its witness, the removals and the branch that decided.
+
+    `stage_seconds` times each stage.  `stats` holds `solve`'s deterministic
+    sizes: `rows_in`, `rows_reduced` and `k_reduced` after the duplicate caps
+    and the heavy-row strip, and `kernel_rows`, the k * gate rows the kernel
+    needs (None when k < 2 and the greedy pass decides alone).
+    """
+
     answer: bool
     witness: Solution | None
     trace: tuple[Removal, ...] = ()
     method: str = ""
     stage_seconds: tuple[tuple[str, float], ...] = ()
+    stats: tuple[tuple[str, int | None], ...] = ()
 
 
 def _capped_series(limit: int, base: int) -> int:
@@ -160,19 +169,28 @@ class Thresholds:
         return cls(gate, target, certified)
 
 
+def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
+    """Index of the lowest row holding more than (k-1)(r+1) unknowns, or None
+    when no row qualifies (or k = 0)."""
+    if k < 1:
+        return None
+    budget = (k - 1) * (r + 1)
+    for i, row in enumerate(rows):
+        if row.unknown_count > budget:
+            return i
+    return None
+
+
 def strip_heavy_row(instance: Instance) -> tuple[Instance, Removal] | None:
     """Remove the lowest-index row holding more than (k-1)(r+1) unknowns and
     decrement k; answers are equivalent and the removal lifts constructively.
     Returns None when no row qualifies (or k = 0)."""
-    if instance.k < 1:
+    i = _heavy_row(instance.rows, instance.k, instance.r)
+    if i is None:
         return None
-    budget = (instance.k - 1) * (instance.r + 1)
-    for i, row in enumerate(instance.rows):
-        if row.unknown_count > budget:
-            rows = instance.rows[:i] + instance.rows[i + 1 :]
-            reduced = Instance(rows, instance.k - 1, instance.r, instance.d)
-            return reduced, Removal(i, row, HEAVY)
-    return None
+    rows = instance.rows
+    reduced = Instance(rows[:i] + rows[i + 1 :], instance.k - 1, instance.r, instance.d)
+    return reduced, Removal(i, rows[i], HEAVY)
 
 
 def lift_heavy_row(reduced_solution: Solution, removal: Removal, r: int) -> Solution:
@@ -221,18 +239,26 @@ def lift_heavy_row(reduced_solution: Solution, removal: Removal, r: int) -> Solu
 def greedy_attempt(instance: Instance) -> Solution | None:
     """k rounds of: keep the lowest-index surviving row, drop every row within
     known distance r of it.  Any success is a sound certificate (completions
-    only grow distances); None means the heuristic ran out of rows."""
+    only grow distances); None means the heuristic ran out of rows.
+
+    Reads the rows' `ones`/`zeros` masks only.  The distance is the one
+    `known_distance` computes; its length check is left out because an
+    `Instance` already holds rows of one dimension.  On success every row
+    completes to zeros through `complete_zeros`.
+    """
+    rows = instance.rows
+    r = instance.r
+    ones = [row.ones for row in rows]
+    zeros = [row.zeros for row in rows]
     picks: list[int] = []
     alive = list(range(instance.n))
-    r = instance.r
-    rows = instance.rows
     for _ in range(instance.k):
         if not alive:
             return None
         v = alive[0]
         picks.append(v)
-        vrow = rows[v]
-        alive = [j for j in alive if known_distance(vrow, rows[j]) > r]
+        v_ones, v_zeros = ones[v], zeros[v]
+        alive = [j for j in alive if ((v_ones & zeros[j]) | (v_zeros & ones[j])).bit_count() > r]
     completed = tuple(row.complete_zeros() for row in rows)
     return Solution(completed, frozenset(picks))
 
@@ -557,9 +583,10 @@ def _cap_duplicates(
     events: list[Removal] = []
     counts: dict[str, int] = {}
     for row in rows:
-        seen = counts.get(row.text, 0)
+        text = row.text
+        seen = counts.get(text, 0)
         if seen < k:
-            counts[row.text] = seen + 1
+            counts[text] = seen + 1
             kept.append(row)
         else:
             events.append(Removal(len(kept), row, DUPLICATE))
@@ -611,21 +638,22 @@ def solve(
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()
 
-    r, d = instance.r, instance.d
-    rows, events = _cap_duplicates(list(instance.rows), instance.k)
-    current = Instance(tuple(rows), instance.k, r, d)
-    while (stripped := strip_heavy_row(current)) is not None:
-        current, removal = stripped
-        events.append(removal)
-    k = current.k
+    # Reduce works on a list of the input's rows, which `instance` has already
+    # checked, so one Instance is built when it ends.
+    k, r = instance.k, instance.r
+    rows, events = _cap_duplicates(list(instance.rows), k)
+    while (i := _heavy_row(rows, k, r)) is not None:
+        events.append(Removal(i, rows.pop(i), HEAVY))
+        k -= 1
     if k < instance.k:
         # k dropped, so the duplicate cap must tighten to the new k as well.
-        rows, dup_events = _cap_duplicates(list(current.rows), k)
+        rows, dup_events = _cap_duplicates(rows, k)
         events.extend(dup_events)
-        current = Instance(tuple(rows), k, r, d)
+    current = Instance(tuple(rows), k, r, instance.d)
     t1 = perf_counter()
     stages.append(("reduce", t1 - t0))
 
+    kernel_rows = None
     if k < 2:
         # At most one row to pick, so the greedy pass is already exact.
         witness, method = greedy_attempt(current), "shortcut"
@@ -633,6 +661,7 @@ def solve(
         thresholds = Thresholds.for_parameters(
             k, r, gate_override=gate_override, target_override=target_override
         )
+        kernel_rows = k * thresholds.gate
         witness, method = greedy_attempt(current), "greedy"
         if witness is None:
             witness, method = _kernel(current, thresholds, events)
@@ -658,4 +687,10 @@ def solve(
             )
         stages.append(("verify", perf_counter() - t3))
 
-    return SolveOutcome(witness is not None, witness, tuple(events), method, tuple(stages))
+    stats = (
+        ("rows_in", instance.n),
+        ("rows_reduced", current.n),
+        ("k_reduced", k),
+        ("kernel_rows", kernel_rows),
+    )
+    return SolveOutcome(witness is not None, witness, tuple(events), method, tuple(stages), stats)

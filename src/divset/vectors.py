@@ -25,28 +25,30 @@ _ZEROS = str.maketrans("01?", "100")
 class PartialVector:
     """An immutable vector over {0, 1, ?}.
 
-    Keeps two bit masks (known ones / known zeros) so distance computations
-    cost O(d / word size) instead of a character loop.
+    The constructor reads the text once: it counts the three characters,
+    refusing any other, and stores the length `d`, `unknown_count` and two
+    bit masks, known ones and known zeros.  Distances read the masks, so they
+    cost O(d / word size) instead of a character loop, and `complete_zeros`
+    builds its result from them without parsing text again.
     """
 
-    __slots__ = ("text", "ones", "zeros", "unknown_count")
+    __slots__ = ("text", "d", "ones", "zeros", "unknown_count")
 
     def __init__(self, text: str):
-        if text.count("0") + text.count("1") + text.count("?") != len(text):
+        d = len(text)
+        unknown = text.count("?")
+        if text.count("0") + text.count("1") + unknown != d:
             bad = next(c for c in text if c not in "01?")
             raise ValueError(f"illegal character {bad!r} in vector {text!r}")
         self.text = text
-        self.unknown_count = text.count("?")
+        self.d = d
+        self.unknown_count = unknown
         if text:
             self.ones = int(text.translate(_ONES), 2)
             self.zeros = int(text.translate(_ZEROS), 2)
         else:
             self.ones = 0
             self.zeros = 0
-
-    @property
-    def d(self) -> int:
-        return len(self.text)
 
     @property
     def is_complete(self) -> bool:
@@ -60,7 +62,14 @@ class PartialVector:
         """The completion that sets every unknown entry to 0."""
         if self.unknown_count == 0:
             return self
-        return PartialVector(self.text.replace(UNKNOWN, "0"))
+        # Built from the masks: the known ones stay, every other bit is a zero.
+        done = object.__new__(PartialVector)
+        done.text = self.text.replace(UNKNOWN, "0")
+        done.d = self.d
+        done.ones = self.ones
+        done.zeros = ((1 << self.d) - 1) ^ self.ones
+        done.unknown_count = 0
+        return done
 
     def completed_with(self, bits: dict[int, str]) -> "PartialVector":
         """Fill the given unknown positions with '0'/'1'; refuses to touch known entries."""
@@ -72,7 +81,7 @@ class PartialVector:
         return PartialVector("".join(chars))
 
     def __len__(self) -> int:
-        return len(self.text)
+        return self.d
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PartialVector) and self.text == other.text
@@ -189,6 +198,7 @@ def verify_solution(instance: Instance, solution: Solution) -> VerificationRepor
     failures: list[str] = []
     rows = instance.rows
     comp = solution.completed
+    misfits: set[int] = set()
     if len(comp) != len(rows):
         failures.append(
             f"completed row count {len(comp)} differs from instance row count {len(rows)}"
@@ -197,6 +207,7 @@ def verify_solution(instance: Instance, solution: Solution) -> VerificationRepor
         for i, (row, full) in enumerate(zip(rows, comp)):
             if full.d != row.d:
                 failures.append(f"row {i}: completed length {full.d}, expected {row.d}")
+                misfits.add(i)
                 continue
             if full.unknown_count:
                 failures.append(f"row {i}: completed vector still contains '?'")
@@ -213,7 +224,8 @@ def verify_solution(instance: Instance, solution: Solution) -> VerificationRepor
         failures.append(f"selected {len(solution.selected)} rows, expected k = {instance.k}")
 
     if not out_of_range and len(comp) == len(rows):
-        for i, j in itertools.combinations(sorted(solution.selected), 2):
+        # A row of the wrong length is reported above and has no distance.
+        for i, j in itertools.combinations(sorted(solution.selected - misfits), 2):
             dist = known_distance(comp[i], comp[j])
             if dist <= instance.r:
                 failures.append(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from divset import neighborhood_gate
 from divset.cli import main
 
 
@@ -64,6 +65,21 @@ class TestSolve:
             report.pop("timings")
         assert reports[0] == reports[1]
 
+    def test_report_stats(self, tmp_path):
+        # The first cap keeps three 0000 rows for k = 3, ???? is stripped
+        # (4 > (k-1)(r+1) = 2), and the second cap keeps two for k = 2.
+        instance = write(tmp_path / "s.inst", "4 3 0\n????\n0000\n0000\n0000\n0000\n1111\n")
+        report_path = tmp_path / "s.json"
+        assert main(["solve", instance, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["trace_summary"] == {"duplicate-cap": 2, "heavy-wildcard": 1}
+        assert report["stats"] == {
+            "rows_in": 6,
+            "rows_reduced": 3,
+            "k_reduced": 2,
+            "kernel_rows": 2 * neighborhood_gate(2, 0),
+        }
+
 
 class TestVerify:
     def test_pipeline_round_trip(self, tmp_path):
@@ -77,6 +93,12 @@ class TestVerify:
         sol = write(tmp_path / "i.sol", "YES\n10\n11\nS: 0 1\n")
         assert main(["verify", inst, sol]) == 1
         assert "completion mismatch" in capsys.readouterr().out
+
+    def test_wrong_length_row_fails(self, tmp_path, capsys):
+        inst = write(tmp_path / "i.inst", "2 2 0\n0?\n11\n")
+        sol = write(tmp_path / "i.sol", "YES\n000\n11\nS: 0 1\n")
+        assert main(["verify", inst, sol]) == 1
+        assert capsys.readouterr().out == "FAIL: row 0: completed length 3, expected 2\n"
 
     def test_wrong_selection_size(self, tmp_path):
         inst = write(tmp_path / "i.inst", "2 2 1\n00\n11\n")
@@ -189,3 +211,6 @@ class TestBench:
         assert digests[0] == digests[1]
         answers = [[case["answer"] for case in r["cases"]] for r in reports]
         assert answers[0] == answers[1]
+        stats = [[case["stats"] for case in r["cases"]] for r in reports]
+        assert stats[0] == stats[1]
+        assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]

@@ -137,6 +137,33 @@ class TestGreedy:
     def test_failure_returns_none(self):
         assert greedy_attempt(inst(["00", "01"], 2, 1)) is None
 
+    def test_matches_known_distance_loop(self):
+        rng = random.Random(17)
+        seen = {"k=0": 0, "n=0": 0, "yes": 0, "no": 0}
+        for _ in range(1500):
+            n, d = rng.choice((0, rng.randint(1, 14))), rng.randint(0, 10)
+            k, r = rng.randint(0, 5), rng.randint(0, 4)
+            density = rng.choice((0.0, 0.2, 0.6))
+            rows = [
+                "".join("?" if rng.random() < density else rng.choice("01") for _ in range(d))
+                for _ in range(n)
+            ]
+            instance = inst(rows, k, r, d)
+            expected = reference_greedy(instance)
+            got = greedy_attempt(instance)
+            if expected is None:
+                assert got is None
+                seen["no"] += 1
+                continue
+            picks, texts = expected
+            assert got.selected == frozenset(picks)
+            assert [row.text for row in got.completed] == texts
+            assert verify_solution(instance, got).ok
+            seen["yes"] += 1
+            seen["k=0"] += k == 0
+            seen["n=0"] += n == 0
+        assert min(seen.values()) >= 50, seen
+
     def test_guaranteed_variant_checks_preconditions(self):
         instance = inst(["000", "011", "101", "110"], 2, 1)
         th = Thresholds.for_parameters(2, 1, gate_override=2)
@@ -144,6 +171,19 @@ class TestGreedy:
         assert solution.selected == {0, 1}
         with pytest.raises(NotApplicableError):
             greedy_select(instance, Thresholds.for_parameters(2, 1, gate_override=3))
+
+
+def reference_greedy(instance):
+    """greedy_attempt's rounds through known_distance, completing with text."""
+    picks, alive = [], list(range(instance.n))
+    for _ in range(instance.k):
+        if not alive:
+            return None
+        v = alive[0]
+        picks.append(v)
+        vrow = instance.rows[v]
+        alive = [j for j in alive if known_distance(vrow, instance.rows[j]) > instance.r]
+    return picks, [row.text.replace("?", "0") for row in instance.rows]
 
 
 class TestPruning:
@@ -411,6 +451,25 @@ class TestSolve:
             assert verify_solution(instance, outcome.witness).ok
             chains += len(outcome.trace) >= 2
         assert chains >= 25
+
+    def test_stats_repeat_across_runs(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            n, d = rng.randint(0, 12), rng.randint(1, 6)
+            rows = ["".join(rng.choice("01??") for _ in range(d)) for _ in range(n)]
+            rows += rows[: rng.randint(0, n)]
+            instance = inst(rows, rng.randint(0, 4), rng.randint(0, 2), d)
+            first, second = solve(instance), solve(instance)
+            assert [name for name, _ in first.stats] == [
+                "rows_in",
+                "rows_reduced",
+                "k_reduced",
+                "kernel_rows",
+            ]
+            assert first.stats == second.stats
+            stats = dict(first.stats)
+            assert stats["rows_in"] == instance.n
+            assert (stats["kernel_rows"] is None) == (stats["k_reduced"] < 2)
 
     def test_stage_timings_present(self):
         outcome = solve(inst(["0?", "11"], 2, 1))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,51 @@ def _completions(v):
     unknown = v.unknown_positions()
     for bits in itertools.product("01", repeat=len(unknown)):
         yield v.completed_with(dict(zip(unknown, bits)))
+
+
+class TestCompleteZeros:
+    def test_matches_parsed_completion(self):
+        rng = random.Random(41)
+        texts = ["", "?", "???", "0", "0110", "?" * 70, "10" * 35]
+        for _ in range(2000):
+            d = rng.randint(0, 70)
+            density = rng.random()
+            texts.append(
+                "".join("?" if rng.random() < density else rng.choice("01") for _ in range(d))
+            )
+        for text in texts:
+            got = pv(text).complete_zeros()
+            want = pv(text.replace("?", "0"))
+            assert (got.text, got.ones, got.zeros, got.unknown_count, got.d) == (
+                want.text,
+                want.ones,
+                want.zeros,
+                want.unknown_count,
+                want.d,
+            ), text
+            assert got == want and got.is_complete
+
+    def test_complete_row_is_returned_as_is(self):
+        v = pv("0110")
+        assert v.complete_zeros() is v
+
+
+class TestLengthChecks:
+    def test_instance_rejects_row_of_other_length(self):
+        with pytest.raises(DimensionMismatch, match="row 1 has length 3, expected 2"):
+            Instance((pv("01"), pv("011")), 1, 0, 2)
+
+    def test_verify_reports_completed_length(self):
+        inst = Instance.from_texts(["0?", "11"], k=2, r=0)
+        sol = Solution((pv("000"), pv("11")), frozenset({0, 1}))
+        report = verify_solution(inst, sol)
+        assert report.failures == ("row 0: completed length 3, expected 2",)
+
+    def test_distance_and_disagreement_reject_other_lengths(self):
+        with pytest.raises(DimensionMismatch, match="vector length 2 vs 3"):
+            known_distance(pv("0?"), pv("011"))
+        with pytest.raises(DimensionMismatch, match="vector length 0 vs 1"):
+            disagreement_set(pv(""), pv("?"))
 
 
 class TestDisagreementSet:
@@ -158,6 +204,15 @@ class TestInstanceFormat:
     def test_illegal_character(self):
         with pytest.raises(ParseError):
             parse_instance("2 1 0\n0x\n")
+
+    @pytest.mark.parametrize("text", ["0b1", "1_0", "+1", "1 0", "\u0661\u0660"])
+    def test_int_literal_forms_rejected(self, text):
+        # int(text, 2) accepts all but "1 0" (the Arabic-Indic digits read
+        # as 2), so the character check must not lean on it.
+        with pytest.raises(ValueError, match="illegal character"):
+            pv(text)
+        with pytest.raises(ParseError, match="illegal character"):
+            parse_instance(f"{len(text)} 1 0\n{text}\n")
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
