@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .errors import ContractError, OracleLimitError, ParseError
@@ -91,7 +93,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "certified": certified,
         "answer": "YES" if outcome.answer else "NO",
         "method": outcome.method,
-        "trace_summary": _trace_summary(outcome),
+        "trace_summary": dict(Counter(event.kind for event in outcome.trace)),
         "stats": dict(outcome.stats),
         "timings": {
             "total_seconds": elapsed,
@@ -113,18 +115,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print("error: overridden run disagrees with the exhaustive check", file=sys.stderr)
                 return 2
         except OracleLimitError as exc:
-            report["oracle_answer"] = None
-            report["oracle_agrees"] = None
-            report["oracle_note"] = str(exc)
+            report.update(oracle_answer=None, oracle_agrees=None, oracle_note=str(exc))
     _write_report(args.report, report)
     return 0 if outcome.answer else 1
-
-
-def _trace_summary(outcome) -> dict:
-    counts: dict[str, int] = {}
-    for event in outcome.trace:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -320,17 +313,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, OracleLimitError, ContractError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (ParseError, OracleLimitError, ContractError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except Exception as exc:
+            # Exit 1 means NO or false, so a crash must never surface as it.
+            print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left before the answer was complete, and exit 1 would
+        # read as NO or false.  What is still buffered goes to the null
+        # device, so the interpreter's final flush cannot fail either.
+        _to_null(sys.stdout)
+        try:
+            print("error: output closed before the answer was complete", file=sys.stderr)
+        except OSError:
+            _to_null(sys.stderr)
         return 2
-    except Exception as exc:
-        # Exit 1 means NO or false, so a crash must never surface as it.
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+
+
+def _to_null(stream) -> None:
+    with open(os.devnull, "w") as null:
+        try:
+            os.dup2(null.fileno(), stream.fileno())
+        except (OSError, ValueError):
+            pass  # not backed by a file descriptor, so nothing is flushed at exit
 
 
 if __name__ == "__main__":

@@ -6,12 +6,12 @@ unknowns, decrementing k.  A cheap greedy pass looks for a certificate.  While
 at least k * gate rows remain, the kernel answers with the guaranteed greedy
 once every neighborhood is sparse, or prunes a row whose removal a sunflower
 argument shows preserves the answer; it keeps the neighborhood sizes up to
-date across removals.  Below the gate the exact search decides: a k-clique
-search over the bitset graph of row pairs that can still reach distance
-r+1, in lexicographic order, with completions tried in counting order and
-forward-checked.  It finds the same first (subset, completion) as a walk
-over all k-subsets.  A YES witness is lifted back through the removals and
-verified.
+date across removals.  When no row can be pruned, and below the gate, the
+exact search decides: a k-clique search over the bitset graph of row pairs
+that can still reach distance r+1, in lexicographic order, with completions
+tried in counting order and forward-checked.  It finds the same first
+(subset, completion) as a walk over all k-subsets.  A YES witness is lifted
+back through the removals and verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -216,13 +216,11 @@ def lift_heavy_row(reduced_solution: Solution, removal: Removal, r: int) -> Solu
     unknown = v.unknown_positions()
     if len(unknown) < need:
         raise ContractError("removed row lacks the unknown coordinates the lift requires")
-    bits: dict[int, str] = {}
+    bits = dict.fromkeys(unknown[need:], "0")
     for i, sel in enumerate(order):
         s = completed[sel]
         for j in unknown[i * (r + 1) : (i + 1) * (r + 1)]:
             bits[j] = "1" if s.text[j] == "0" else "0"
-    for j in unknown[need:]:
-        bits[j] = "0"
     v_star = v.completed_with(bits)
 
     for sel in order:
@@ -307,60 +305,52 @@ def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, in
     return frozenset(elems)
 
 
-def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) -> int:
-    """Find a row whose removal provably keeps the YES/NO answer.
+def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) -> int | None:
+    """Find a row whose removal provably keeps the YES/NO answer, or None.
 
-    Preconditions: every row has at most (k-1)(r+1) unknowns, the given row's
-    r-neighborhood reaches the gate, and exact-duplicate rows were already
-    capped at k copies.  Splits the neighborhood into classes that agree with
-    each other on the reference row's unknown coordinates, represents the
-    largest class as a set system over (unknown-here / differs-here) markers,
-    finds a set size whose class meets the pigeonhole bound, extracts a
-    sunflower of the target cardinality, and returns its lowest row index.
+    Preconditions, checked with NotApplicableError: every row has at most
+    (k-1)(r+1) unknowns and the given row's r-neighborhood reaches the gate.
+    Takes the largest class of neighbors that agree on the reference row's
+    unknown coordinates (lowest first row on ties); in it only identical rows
+    share a `row_signature`.  The Erdos-Rado lemma counts distinct sets, so
+    the first signature size alpha with strictly more than
+    alpha! * (target-1)^alpha distinct signatures yields a sunflower of the
+    target cardinality, and its lowest row is returned.  None when no size
+    has that many: the caller hands the rows to the exact search.
     """
     k, r = instance.k, instance.r
+    rows = instance.rows
     budget = (k - 1) * (r + 1)
-    for i, row in enumerate(instance.rows):
+    for i, row in enumerate(rows):
         if row.unknown_count > budget:
             raise NotApplicableError(f"row {i} carries more than {budget} unknowns")
     near = neighborhood(instance, v_index, r)
     if len(near) < thresholds.gate:
-        raise NotApplicableError(
-            f"neighborhood size {len(near)} below gate {thresholds.gate}"
-        )
+        raise NotApplicableError(f"neighborhood size {len(near)} below gate {thresholds.gate}")
 
-    v = instance.rows[v_index]
-    z_positions = v.unknown_positions()
-    classes: dict[tuple[str, ...], list[int]] = {}
+    v = rows[v_index]
+    z = ((1 << v.d) - 1) ^ (v.ones | v.zeros)
+    classes: dict[tuple[int, int], list[int]] = {}
     for idx in sorted(near):
-        pattern = tuple(instance.rows[idx].text[z] for z in z_positions)
-        classes.setdefault(pattern, []).append(idx)
+        row = rows[idx]
+        classes.setdefault((row.ones & z, row.zeros & z), []).append(idx)
     biggest = max(classes.values(), key=lambda members: (len(members), -members[0]))
 
-    by_size: dict[int, tuple[list[frozenset], list[int]]] = {}
+    tables: dict[int, dict[frozenset, int]] = {}
     for idx in biggest:
-        sig = row_signature(v, instance.rows[idx])
-        members, tags = by_size.setdefault(len(sig), ([], []))
-        members.append(sig)
-        tags.append(idx)
+        sig = row_signature(v, rows[idx])
+        tables.setdefault(len(sig), {}).setdefault(sig, idx)
 
     target = thresholds.target
-    for alpha in range(1, budget + r + 1):
-        if alpha not in by_size:
+    for alpha, table in sorted(tables.items()):
+        if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
-        members, tags = by_size[alpha]
-        if len(members) < factorial(alpha) * (target - 1) ** alpha:
-            continue
-        family = SetFamily(tuple(members), tuple(tags))
+        family = SetFamily(tuple(table), tuple(table.values()))
         flower = find_sunflower(family, alpha, target)
         if flower is None or len(flower) < target:
-            raise ContractError(
-                "sunflower extraction fell short of the target; thresholds misconfigured"
-            )
+            raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
         return min(family.tags[i] for i in flower.member_indices)
-    raise ContractError(
-        "no signature size met the pigeonhole bound; thresholds misconfigured"
-    )
+    return None
 
 
 def _mask_text(mask: int, d: int) -> str:
@@ -369,21 +359,16 @@ def _mask_text(mask: int, d: int) -> str:
 
 def _completion_masks(row: PartialVector) -> list[int]:
     """Every completion of one row as a bit mask, unknowns counting up with
-    the leftmost unknown as the most significant digit."""
-    positions = row.unknown_positions()
-    if not positions:
-        return [row.ones]
-    d = row.d
-    bits = [1 << (d - 1 - p) for p in positions]
-    u = len(positions)
-    out = []
-    for m in range(1 << u):
-        acc = row.ones
-        for i, bv in enumerate(bits):
-            if (m >> (u - 1 - i)) & 1:
-                acc |= bv
-        out.append(acc)
-    return out
+    the leftmost unknown as the most significant digit.  Built by doubling,
+    rightmost unknown first: each unknown appends a copy of the list with
+    its bit set, so it becomes the next more significant digit."""
+    masks = [row.ones]
+    unknown = ((1 << row.d) - 1) ^ (row.ones | row.zeros)
+    while unknown:
+        bit = unknown & -unknown
+        unknown ^= bit
+        masks += [m | bit for m in masks]
+    return masks
 
 
 def brute_force(instance: Instance) -> SolveOutcome:
@@ -405,8 +390,7 @@ def brute_force(instance: Instance) -> SolveOutcome:
     completions finds first.
     """
     k, r, d = instance.k, instance.r, instance.d
-    rows = instance.rows
-    n = instance.n
+    rows, n = instance.rows, instance.n
     need = r + 1
     full = (1 << d) - 1
     unknown_masks = [full ^ (row.ones | row.zeros) for row in rows]
@@ -558,15 +542,7 @@ def _first_valid_profile(
     subset: tuple[int, ...], comp: list[list[int]], need: int
 ) -> tuple[int, ...] | None:
     for profile in itertools.product(*(comp[i] for i in subset)):
-        valid = True
-        for x in range(len(profile)):
-            for y in range(x + 1, len(profile)):
-                if (profile[x] ^ profile[y]).bit_count() < need:
-                    valid = False
-                    break
-            if not valid:
-                break
-        if valid:
+        if all((a ^ b).bit_count() >= need for a, b in itertools.combinations(profile, 2)):
             return profile
     return None
 
@@ -600,7 +576,9 @@ def _kernel(
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The sizes
     are computed once, then lowered by one for the rows within distance r of
-    each pruned row.
+    each pruned row.  Once every size is below the gate, each greedy round
+    drops fewer than gate rows, so k rounds fit in the k * gate rows left.
+    When no row can be pruned, the exact search takes the rows as they are.
     """
     k, r = current.k, current.r
     sizes: list[int] | None = None
@@ -609,8 +587,13 @@ def _kernel(
             sizes = [len(neighborhood(current, i, r)) for i in range(current.n)]
         biggest = max(sizes)
         if biggest < thresholds.gate:
-            return greedy_select(current, thresholds), "greedy-bounded"
+            witness = greedy_attempt(current)
+            if witness is None:
+                raise ContractError("greedy ran out of rows despite the size preconditions")
+            return witness, "greedy-bounded"
         f = find_prunable_row(current, sizes.index(biggest), thresholds)
+        if f is None:
+            break
         pruned = current.rows[f]
         events.append(Removal(f, pruned, PRUNED))
         current = Instance(current.rows[:f] + current.rows[f + 1 :], k, r, current.d)
@@ -631,9 +614,10 @@ def solve(
     the original input.
 
     The overrides shrink the internal gates so the sparse-greedy and pruning
-    paths can be exercised on desk-size inputs; results computed with them
-    are flagged non-certified and should be cross-checked against
-    `exhaustive_solve`.
+    paths can be exercised on desk-size inputs.  They void the pruning
+    argument, so their answers are unverified: a YES still carries a verified
+    witness, but a NO may be wrong.  Cross-check them against
+    `exhaustive_solve`, as `divset solve` does.
     """
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divset
 from divset import neighborhood_gate
 from divset.cli import main
 
@@ -196,6 +201,53 @@ class TestFo:
         formula = write(tmp_path / "f.fo", "E(x,y)\n")
         graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
         assert main(["fo", "check", formula, graph]) == 2
+
+
+class TestClosedPipe:
+    """The child's stdout and stderr go to a pipe whose read end is already
+    closed, so every write fails; exit 1 would read as NO or false.  With
+    buffered streams, output left in a buffer fails again at interpreter
+    exit, which turns the exit code into 120."""
+
+    @staticmethod
+    def run_closed(argv, unbuffered, stderr_open=False):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(divset.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "divset.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE if stderr_open else write_end,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["solve", "check", "rewrite"])
+    def test_exit_two_not_one(self, tmp_path, command, unbuffered):
+        instance = write(tmp_path / "yes.inst", "3 2 2\n000\n111\n")
+        formula = write(tmp_path / "f.fo", "exists x. exists y. (~(x=y) & E(x,y))\n")
+        graph = write(tmp_path / "k3.graph", "3 3\n1 2\n1 3\n2 3\n")
+        argv = {
+            "solve": ["solve", instance],
+            "check": ["fo", "check", formula, graph],
+            "rewrite": ["fo", "rewrite", formula],
+        }[command]
+        assert self.run_closed(argv, unbuffered).returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_message_when_stderr_stays_open(self, tmp_path, unbuffered):
+        instance = write(tmp_path / "yes.inst", "3 2 2\n000\n111\n")
+        done = self.run_closed(["solve", instance], unbuffered, stderr_open=True)
+        assert done.returncode == 2
+        assert done.stderr == b"error: output closed before the answer was complete\n"
 
 
 class TestBench:

@@ -229,6 +229,44 @@ class TestPruning:
         with pytest.raises(NotApplicableError):
             find_prunable_row(instance, 0, th)
 
+    def test_duplicates_do_not_count_towards_the_lemma(self):
+        # Target 3 at size 1 needs more than 1! * (3-1)^1 = 2 distinct
+        # signatures.  The copies of 1000 reach that count only as repeats,
+        # and {1}, {1}, {2} holds no 3-member sunflower, so the first two
+        # families have nothing to prune; the third has three distinct sets.
+        th = Thresholds.for_parameters(2, 1, gate_override=3, target_override=3)
+        families = (
+            (["0000", "1000", "1000"], None),
+            (["0000", "1000", "1000", "0100"], None),
+            (["0000", "1000", "1000", "0100", "0010"], 1),
+        )
+        for rows, expected in families:
+            instance = inst(rows, 2, 1)
+            f = find_prunable_row(instance, 0, th)
+            assert f == expected, rows
+            if f is not None:
+                remaining = Instance(instance.rows[:f] + instance.rows[f + 1 :], 2, 1, 4)
+                assert exhaustive_solve(instance).answer == exhaustive_solve(remaining).answer
+
+    def test_override_fuzz_hands_over_instead_of_raising(self):
+        # Overridden gates void the pigeonhole step, so many neighborhoods
+        # hold no sunflower of the target size; the kernel must then leave
+        # the rows to the exact search.  Overrides also void the pruning
+        # argument, so a NO may be wrong, but a YES carries a verified witness.
+        rng = random.Random(7)
+        pruned = 0
+        for _ in range(600):
+            k, r = rng.randint(2, 3), rng.randint(0, 1)
+            d, n = rng.randint(3, 6), rng.randint(3, 12)
+            rows = ["".join(rng.choice("01?") for _ in range(d)) for _ in range(n)]
+            gate, target = rng.randint(1, 4), rng.randint(2, 4)
+            instance = inst(rows, k, r, d)
+            outcome = solve(instance, gate_override=gate, target_override=target)
+            pruned += any(e.kind == PRUNED for e in outcome.trace)
+            if outcome.answer:
+                assert verify_solution(instance, outcome.witness).ok
+        assert pruned >= 5
+
 
 class TestBruteForce:
     def test_no_when_distance_unreachable(self):
@@ -297,6 +335,18 @@ class TestBruteForce:
             kinds["k>n"] += k > n
             kinds["n=0"] += n == 0
         assert min(kinds.values()) >= 50, kinds
+
+    def test_many_unknowns_answer_fast(self):
+        # The first row keeps 20 = (k-1)(r+1) unknowns, so all 2^20 of its
+        # completions are built before the first is tried; the bound keeps
+        # that building linear in the number of completions.
+        instance = inst(["?" * 20 + "0000", "0" * 24, "1" * 12 + "0" * 12], 3, 9)
+        started = time.perf_counter()
+        outcome = solve(instance)
+        elapsed = time.perf_counter() - started
+        assert outcome.answer and outcome.method == "brute-force"
+        assert verify_solution(instance, outcome.witness).ok
+        assert elapsed < 1
 
     def test_clustered_no_at_160_rows(self):
         # Every row is 5 flips from one base, so no pair reaches r+1 = 11;
@@ -414,6 +464,35 @@ class TestSolve:
         assert outcome.answer == exhaustive_solve(instance).answer
         assert verify_solution(instance, outcome.witness).ok
 
+    def test_greedy_bounded_after_pruning(self):
+        # Greedy picks p1 = e_1 and p2 = e_24 and then runs out: the first
+        # removes the zero row and the 11 rows e_1 + e_j, the second the 11
+        # rows e_c with a ? at coordinate 24.  The zero row has the largest
+        # neighborhood and prunes p1; p2 then prunes the e_c rows while more
+        # than 2!*(2-1)^2 = 2 are left.  At 15 = k * gate rows every
+        # neighborhood is below the gate, so the guaranteed greedy decides.
+        d = 24
+
+        def row(*ones, unknown=None):
+            cells = ["0"] * d
+            for c in ones:
+                cells[c] = "1"
+            if unknown is not None:
+                cells[unknown] = "?"
+            return "".join(cells)
+
+        rows = [row(0), row(23), row()]
+        rows += [row(0, j) for j in range(1, 12)]
+        rows += [row(c, unknown=23) for c in range(12, 23)]
+        instance = inst(rows, 3, 1, d)
+        assert greedy_attempt(instance) is None
+        outcome = solve(instance, gate_override=5, target_override=2)
+        assert outcome.method == "greedy-bounded"
+        assert [e.kind for e in outcome.trace] == [PRUNED] * 10
+        assert outcome.trace[0].row.text == rows[0]
+        assert verify_solution(instance, outcome.witness).ok
+        assert exhaustive_solve(instance, max_rows=instance.n).answer
+
     def test_kernel_prunes_like_full_recompute(self):
         # The unit family around 0^d, plus the one-flip neighbours of a second
         # centre 1110...0 at distance 3.  Greedy picks the two centres and runs
@@ -427,6 +506,8 @@ class TestSolve:
                 if max(sizes) < thresholds.gate:
                     break
                 f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
+                if f is None:
+                    break
                 pruned.append(Removal(f, current.rows[f], PRUNED))
                 rows = current.rows[:f] + current.rows[f + 1 :]
                 current = Instance(rows, instance.k, instance.r, instance.d)
