@@ -68,16 +68,8 @@ def _write_report(path: str | None, report: dict) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     text = _read(args.instance)
     instance = parse_instance(text)
-    certified = args.zeta_gate is None and args.sunflower_target is None
     started = time.perf_counter()
-    if args.oracle:
-        outcome = exhaustive_solve(instance)
-    else:
-        outcome = solve(
-            instance,
-            gate_override=args.zeta_gate,
-            target_override=args.sunflower_target,
-        )
+    outcome = exhaustive_solve(instance) if args.oracle else solve(instance)
     elapsed = time.perf_counter() - started
 
     _emit(serialize_solution(outcome.witness), args.output)
@@ -85,12 +77,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = {
         "command": "solve",
         "input_digest": _digest(text),
-        "flags": {
-            "oracle": args.oracle,
-            "zeta_gate": args.zeta_gate,
-            "sunflower_target": args.sunflower_target,
-        },
-        "certified": certified,
+        "flags": {"oracle": args.oracle},
         "answer": "YES" if outcome.answer else "NO",
         "method": outcome.method,
         "trace_summary": dict(Counter(event.kind for event in outcome.trace)),
@@ -99,23 +86,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "total_seconds": elapsed,
             "stages": {name: seconds for name, seconds in outcome.stage_seconds},
         },
-        "discrepancies": [],
     }
-    if not certified:
-        print("warning: thresholds overridden; this run is NOT certified", file=sys.stderr)
-        try:
-            oracle = exhaustive_solve(instance)
-            report["oracle_answer"] = "YES" if oracle.answer else "NO"
-            report["oracle_agrees"] = oracle.answer == outcome.answer
-            if oracle.answer != outcome.answer:
-                report["discrepancies"].append(
-                    {"kind": "oracle-mismatch", "solver": outcome.answer, "oracle": oracle.answer}
-                )
-                _write_report(args.report, report)
-                print("error: overridden run disagrees with the exhaustive check", file=sys.stderr)
-                return 2
-        except OracleLimitError as exc:
-            report.update(oracle_answer=None, oracle_agrees=None, oracle_note=str(exc))
     _write_report(args.report, report)
     return 0 if outcome.answer else 1
 
@@ -256,18 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--output", help="solution file path (default: stdout)")
     p_solve.add_argument("--oracle", action="store_true", help="use the exhaustive solver")
-    p_solve.add_argument(
-        "--zeta-gate",
-        type=int,
-        metavar="N",
-        help="override the neighborhood-size gate (testing only; not certified)",
-    )
-    p_solve.add_argument(
-        "--sunflower-target",
-        type=int,
-        metavar="N",
-        help="override the sunflower size target (testing only; not certified)",
-    )
     p_solve.add_argument("--report", metavar="PATH", help="write a JSON run report")
     p_solve.set_defaults(func=_cmd_solve)
 

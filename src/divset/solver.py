@@ -617,7 +617,7 @@ def solve(
     paths can be exercised on desk-size inputs.  They void the pruning
     argument, so their answers are unverified: a YES still carries a verified
     witness, but a NO may be wrong.  Cross-check them against
-    `exhaustive_solve`, as `divset solve` does.
+    `exhaustive_solve`.
     """
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()

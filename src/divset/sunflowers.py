@@ -33,10 +33,6 @@ class SetFamily:
             raise ValueError("tags must parallel members")
         object.__setattr__(self, "tags", tags)
 
-    @property
-    def universe(self) -> ElementSet:
-        return frozenset().union(*self.members) if self.members else frozenset()
-
 
 @dataclass(frozen=True)
 class Sunflower:

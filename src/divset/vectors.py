@@ -302,9 +302,13 @@ def parse_solution(text: str) -> Solution | None:
             raise ParseError("unexpected content after the selection line", num)
         if line.startswith("S:"):
             try:
-                selected = frozenset(int(p) for p in line[2:].split())
+                indices = [int(p) for p in line[2:].split()]
             except ValueError:
                 raise ParseError(f"bad selection line {line!r}", num) from None
+            selected = frozenset(indices)
+            if len(selected) < len(indices):
+                repeat = next(i for n, i in enumerate(indices) if i in indices[:n])
+                raise ParseError(f"selection repeats row index {repeat}", num)
             continue
         if any(c not in "01" for c in line):
             raise ParseError(f"completed row must use only 0/1, got {line!r}", num)

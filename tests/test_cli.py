@@ -26,6 +26,13 @@ def no_instance(tmp_path):
     return write(tmp_path / "no.inst", "2 2 1\n00\n01\n")
 
 
+@pytest.fixture
+def past_oracle_cap(tmp_path):
+    # A YES instance with more rows than the exhaustive solver accepts.
+    rows = "000 010 000 000 00? 010 0?0 ?00 000 00? 000 100 000 000 000 000 101 001"
+    return write(tmp_path / "wide.inst", "3 3 1\n" + "\n".join(rows.split()) + "\n")
+
+
 class TestSolve:
     def test_yes_exit_zero_and_solution(self, yes_instance, tmp_path, capsys):
         out = tmp_path / "out.sol"
@@ -50,16 +57,23 @@ class TestSolve:
         main(["solve", yes_instance])
         assert capsys.readouterr().out == "YES\n000\n111\nS: 0 1\n"
 
-    def test_override_marks_uncertified_and_cross_checks(self, yes_instance, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code = main(
-            ["solve", yes_instance, "--zeta-gate", "4", "--report", str(report_path)]
-        )
-        assert code == 0
-        assert "NOT certified" in capsys.readouterr().err
-        report = json.loads(report_path.read_text())
-        assert report["certified"] is False
-        assert report["oracle_agrees"] is True
+    @pytest.mark.parametrize("flag", ["--zeta-gate", "--sunflower-target"])
+    def test_removed_override_flags_exit_two(self, yes_instance, flag):
+        # Overridden thresholds void the pruning argument, so the command line
+        # refuses them as a usage error rather than print an unverified answer.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", yes_instance, flag, "2"])
+        assert exc.value.code == 2
+
+    def test_oracle_past_its_cap_exit_two(self, past_oracle_cap, capsys):
+        assert main(["solve", past_oracle_cap, "--oracle"]) == 2
+        assert capsys.readouterr().err == "error: 18 rows exceed the exhaustive cap of 16\n"
+
+    def test_certified_past_oracle_cap(self, past_oracle_cap, tmp_path, capsys):
+        sol = tmp_path / "wide.sol"
+        assert main(["solve", past_oracle_cap, "--output", str(sol)]) == 0
+        assert main(["verify", past_oracle_cap, str(sol)]) == 0
+        assert capsys.readouterr().out == "PASS\n"
 
     def test_report_reproducible_modulo_timings(self, yes_instance, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -109,6 +123,19 @@ class TestVerify:
         inst = write(tmp_path / "i.inst", "2 2 1\n00\n11\n")
         sol = write(tmp_path / "i.sol", "YES\n00\n11\nS: 0\n")
         assert main(["verify", inst, sol]) == 1
+
+    def test_no_file_fails(self, tmp_path, capsys):
+        inst = write(tmp_path / "i.inst", "2 2 1\n00\n01\n")
+        sol = write(tmp_path / "i.sol", "NO\n")
+        assert main(["verify", inst, sol]) == 1
+        assert capsys.readouterr().out == "FAIL: solution file declares NO; nothing to verify\n"
+
+    def test_repeated_selection_index_exit_two(self, tmp_path, capsys):
+        # Merging the repeat would pass: rows 0 and 1 are a valid pair.
+        inst = write(tmp_path / "i.inst", "3 2 1\n0?0\n111\n")
+        sol = write(tmp_path / "i.sol", "YES\n010\n111\nS: 0 0 1\n")
+        assert main(["verify", inst, sol]) == 2
+        assert capsys.readouterr().err == "error: line 4: selection repeats row index 0\n"
 
     def test_parse_error_exit_two(self, tmp_path):
         inst = write(tmp_path / "i.inst", "2 2 1\n00\n11\n")
@@ -176,6 +203,14 @@ class TestFo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unexpected" not in err
+
+    def test_rewrite_crash_exits_two_not_false(self, tmp_path, capsys):
+        # The parser takes this depth; the rewrite may not.  Whatever goes
+        # wrong must end in exit 2 and one message, never in exit 1; a
+        # rewriter that handles the depth exits 0 without a message.
+        formula = write(tmp_path / "deep.fo", "exists x. " * 499 + "x=x\n")
+        code = main(["fo", "rewrite", formula])
+        assert (code, capsys.readouterr().err.count("\n")) in ((0, 0), (2, 1))
 
     @staticmethod
     def nested(levels):
