@@ -40,7 +40,6 @@ from .solver import (
     exhaustive_solve,
     find_prunable_row,
     greedy_attempt,
-    greedy_select,
     lift_heavy_row,
     neighborhood_bound,
     neighborhood_gate,

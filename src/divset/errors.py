@@ -22,7 +22,10 @@ class NotApplicableError(RuntimeError):
 
 
 class ContractError(RuntimeError):
-    """An internal guarantee failed; points at misconfigured thresholds or a bug."""
+    """A broken contract: an argument outside a function's stated domain
+    (k < 1 for a threshold, a non-uniform set family, a formula that is not
+    a sentence), or a guarantee the code proves that failed to hold (an
+    invalid witness, a greedy or sunflower step short of its bound)."""
 
 
 class OracleLimitError(RuntimeError):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import ContractError, ParseError
 from .solver import exhaustive_solve
 from .vectors import Instance, PartialVector, known_distance
-from .vectors import _effective_lines
+from .vectors import _decimal, _effective_lines
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Read the graph format: an 'n m' header, then m lines 'u v' with u < v."""
+    """Read the graph format: an 'n m' header, then m lines 'u v' with u < v,
+    every number in ASCII decimals."""
     n = m = None
     edges: list[tuple[int, int]] = []
     for num, line in _effective_lines(text):
@@ -66,18 +67,18 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 2:
                 raise ParseError(f"expected header 'n m', got {line!r}", num)
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, m = _decimal(parts[0]), _decimal(parts[1])
             except ValueError:
-                raise ParseError(f"non-integer value in header {line!r}", num) from None
-            if n < 0 or m < 0:
-                raise ParseError("header values must be non-negative", num)
+                raise ParseError(
+                    f"header values must be ASCII decimals, got {line!r}", num
+                ) from None
             continue
         if len(parts) != 2:
             raise ParseError(f"expected edge 'u v', got {line!r}", num)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", num) from None
+            raise ParseError(f"endpoints must be ASCII decimals, got {line!r}", num) from None
         if not u < v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", num)
         edges.append((u, v))

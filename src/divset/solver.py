@@ -140,11 +140,10 @@ def neighborhood_gate(k: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The solver's size gates; `certified` drops when a test override is set."""
+    """The solver's size gates: the row gate and the sunflower target."""
 
     gate: int
     target: int
-    certified: bool = True
 
     @classmethod
     def for_parameters(
@@ -155,9 +154,11 @@ class Thresholds:
         gate_override: int | None = None,
         target_override: int | None = None,
     ) -> "Thresholds":
+        """The certified gates for (k, r).  An override replaces one of them,
+        which voids the pruning argument; it lets `find_prunable_row` run on
+        desk-size families."""
         gate = neighborhood_gate(k, r)
         target = sunflower_target(k, r)
-        certified = gate_override is None and target_override is None
         if gate_override is not None:
             if gate_override < 1:
                 raise ValueError("gate override must be at least 1")
@@ -166,7 +167,7 @@ class Thresholds:
             if target_override < 2:
                 raise ValueError("sunflower target override must be at least 2")
             target = target_override
-        return cls(gate, target, certified)
+        return cls(gate, target)
 
 
 def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
@@ -259,30 +260,6 @@ def greedy_attempt(instance: Instance) -> Solution | None:
         alive = [j for j in alive if ((v_ones & zeros[j]) | (v_zeros & ones[j])).bit_count() > r]
     completed = tuple(row.complete_zeros() for row in rows)
     return Solution(completed, frozenset(picks))
-
-
-def greedy_select(instance: Instance, thresholds: Thresholds) -> Solution:
-    """Greedy selection with a success guarantee.
-
-    Preconditions: at least k * gate rows and every row's r-neighborhood
-    smaller than the gate; then each round of `greedy_attempt` removes fewer
-    than gate rows, so k rounds always complete.
-    """
-    k, r = instance.k, instance.r
-    if instance.n < k * thresholds.gate:
-        raise NotApplicableError(
-            f"need at least {k * thresholds.gate} rows, have {instance.n}"
-        )
-    for i in range(instance.n):
-        size = len(neighborhood(instance, i, r))
-        if size >= thresholds.gate:
-            raise NotApplicableError(
-                f"row {i} has an r-neighborhood of size {size} >= gate {thresholds.gate}"
-            )
-    solution = greedy_attempt(instance)
-    if solution is None:
-        raise ContractError("greedy ran out of rows despite the size preconditions")
-    return solution
 
 
 def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, int]]:
@@ -604,21 +581,9 @@ def _kernel(
     return brute_force(current).witness, "brute-force"
 
 
-def solve(
-    instance: Instance,
-    *,
-    gate_override: int | None = None,
-    target_override: int | None = None,
-) -> SolveOutcome:
+def solve(instance: Instance) -> SolveOutcome:
     """Decide the instance exactly and, on YES, return a verified witness for
-    the original input.
-
-    The overrides shrink the internal gates so the sparse-greedy and pruning
-    paths can be exercised on desk-size inputs.  They void the pruning
-    argument, so their answers are unverified: a YES still carries a verified
-    witness, but a NO may be wrong.  Cross-check them against
-    `exhaustive_solve`.
-    """
+    the original input."""
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()
 
@@ -642,9 +607,7 @@ def solve(
         # At most one row to pick, so the greedy pass is already exact.
         witness, method = greedy_attempt(current), "shortcut"
     else:
-        thresholds = Thresholds.for_parameters(
-            k, r, gate_override=gate_override, target_override=target_override
-        )
+        thresholds = Thresholds.for_parameters(k, r)
         kernel_rows = k * thresholds.gate
         witness, method = greedy_attempt(current), "greedy"
         if witness is None:

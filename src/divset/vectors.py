@@ -243,8 +243,17 @@ def _effective_lines(text: str) -> Iterator[tuple[int, str]]:
         yield num, line
 
 
+def _decimal(token: str) -> int:
+    """The value of a run of ASCII digits.  ValueError for anything else,
+    including the signs, underscores and non-ASCII digits `int` accepts."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
+
+
 def parse_instance(text: str) -> Instance:
-    """Read the instance format: a 'd k r' header line, then one row per line.
+    """Read the instance format: a 'd k r' header line of ASCII decimals,
+    then one row per line.
 
     Blank lines and lines starting with '#' are ignored.  Note that rows of a
     d=0 instance are not representable (they would be blank lines), so such
@@ -258,11 +267,11 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 3:
                 raise ParseError(f"expected header 'd k r', got {line!r}", num)
             try:
-                d, k, r = (int(p) for p in parts)
+                d, k, r = (_decimal(p) for p in parts)
             except ValueError:
-                raise ParseError(f"non-integer value in header {line!r}", num) from None
-            if d < 0 or k < 0 or r < 0:
-                raise ParseError("header values must be non-negative", num)
+                raise ParseError(
+                    f"header values must be ASCII decimals, got {line!r}", num
+                ) from None
         else:
             if len(line) != d:
                 raise ParseError(f"row has {len(line)} characters, expected {d}", num)
@@ -285,7 +294,8 @@ def parse_solution(text: str) -> Solution | None:
     """Read a solution file; returns None for a 'NO' file.
 
     Format: first line 'YES' or 'NO'; on YES, the fully completed rows in
-    input order, then a final line 'S: i1 i2 ...' with 0-based indices.
+    input order, then a final line 'S: i1 i2 ...' with 0-based indices in
+    strictly ascending order.
     """
     verdict = None
     rows: list[PartialVector] = []
@@ -302,13 +312,15 @@ def parse_solution(text: str) -> Solution | None:
             raise ParseError("unexpected content after the selection line", num)
         if line.startswith("S:"):
             try:
-                indices = [int(p) for p in line[2:].split()]
+                indices = [_decimal(p) for p in line[2:].split()]
             except ValueError:
                 raise ParseError(f"bad selection line {line!r}", num) from None
             selected = frozenset(indices)
             if len(selected) < len(indices):
                 repeat = next(i for n, i in enumerate(indices) if i in indices[:n])
                 raise ParseError(f"selection repeats row index {repeat}", num)
+            if indices != sorted(indices):
+                raise ParseError(f"selection indices must ascend, got {line!r}", num)
             continue
         if any(c not in "01" for c in line):
             raise ParseError(f"completed row must use only 0/1, got {line!r}", num)

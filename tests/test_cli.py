@@ -47,6 +47,12 @@ class TestSolve:
         assert main(["solve", bad]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_header_in_other_digits_exit_two(self, tmp_path, capsys):
+        # int() reads the header as d=3, k=10, r=1, and the answer is NO.
+        bad = write(tmp_path / "bad.inst", "+3 1_0 \u0661\n000\n111\n")
+        assert main(["solve", bad]) == 2
+        assert "ASCII decimals" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["solve", "/nonexistent/file"]) == 2
 
@@ -136,6 +142,13 @@ class TestVerify:
         sol = write(tmp_path / "i.sol", "YES\n010\n111\nS: 0 0 1\n")
         assert main(["verify", inst, sol]) == 2
         assert capsys.readouterr().err == "error: line 4: selection repeats row index 0\n"
+
+    @pytest.mark.parametrize("line", ["S: 1 0", "S: +0 1", "S: \u0660 1"])
+    def test_selection_not_ascending_ascii_exit_two(self, tmp_path, line):
+        # Each names the valid pair {0, 1}, which int() and a set would accept.
+        inst = write(tmp_path / "i.inst", "3 2 1\n0?0\n111\n")
+        sol = write(tmp_path / "i.sol", f"YES\n010\n111\n{line}\n")
+        assert main(["verify", inst, sol]) == 2
 
     def test_parse_error_exit_two(self, tmp_path):
         inst = write(tmp_path / "i.inst", "2 2 1\n00\n11\n")

@@ -49,6 +49,13 @@ class TestGraph:
         with pytest.raises(ParseError):
             parse_graph("3 1\n2 1\n")
 
+    @pytest.mark.parametrize(
+        "text", ["3 1\n1 +2\n", "3 1\n1 \u0662\n", "+3 1\n1 2\n", "3 1_0\n1 2\n"]
+    )
+    def test_parse_takes_only_ascii_decimals(self, text):
+        with pytest.raises(ParseError, match="ASCII decimals"):
+            parse_graph(text)
+
     def test_parse_edge_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph("3 2\n1 2\n")

@@ -16,7 +16,6 @@ from divset import (
     exhaustive_solve,
     find_prunable_row,
     greedy_attempt,
-    greedy_select,
     known_distance,
     lift_heavy_row,
     neighborhood,
@@ -28,6 +27,7 @@ from divset import (
     sunflower_target,
     verify_solution,
 )
+from divset import solver
 from divset.solver import DUPLICATE, HEAVY, PRUNED, Removal, SATURATION_CAP
 
 CAP = SATURATION_CAP
@@ -35,6 +35,15 @@ CAP = SATURATION_CAP
 
 def inst(texts, k, r, d=None):
     return Instance.from_texts(texts, k, r, d)
+
+
+def patch_gates(monkeypatch, gate, target):
+    """Replace the certified gates, which `Thresholds.for_parameters` looks up
+    at call time, so `solve` reaches the kernel on desk-size inputs.  The
+    pruning argument no longer holds: a YES still carries a verified
+    witness, but a NO may be wrong."""
+    monkeypatch.setattr(solver, "neighborhood_gate", lambda k, r: gate)
+    monkeypatch.setattr(solver, "sunflower_target", lambda k, r: target)
 
 
 class TestThresholds:
@@ -63,10 +72,10 @@ class TestThresholds:
         with pytest.raises(ContractError):
             neighborhood_bound(0, 1)
 
-    def test_override_flags_uncertified(self):
-        th = Thresholds.for_parameters(2, 1, gate_override=5)
-        assert not th.certified and th.gate == 5
-        assert Thresholds.for_parameters(2, 1).certified
+    def test_override_replaces_one_gate(self):
+        certified = Thresholds.for_parameters(2, 1)
+        assert certified == Thresholds(neighborhood_gate(2, 1), sunflower_target(2, 1))
+        assert Thresholds.for_parameters(2, 1, gate_override=5) == Thresholds(5, certified.target)
 
 
 class TestHeavyRows:
@@ -164,14 +173,6 @@ class TestGreedy:
             seen["n=0"] += n == 0
         assert min(seen.values()) >= 50, seen
 
-    def test_guaranteed_variant_checks_preconditions(self):
-        instance = inst(["000", "011", "101", "110"], 2, 1)
-        th = Thresholds.for_parameters(2, 1, gate_override=2)
-        solution = greedy_select(instance, th)
-        assert solution.selected == {0, 1}
-        with pytest.raises(NotApplicableError):
-            greedy_select(instance, Thresholds.for_parameters(2, 1, gate_override=3))
-
 
 def reference_greedy(instance):
     """greedy_attempt's rounds through known_distance, completing with text."""
@@ -248,11 +249,10 @@ class TestPruning:
                 remaining = Instance(instance.rows[:f] + instance.rows[f + 1 :], 2, 1, 4)
                 assert exhaustive_solve(instance).answer == exhaustive_solve(remaining).answer
 
-    def test_override_fuzz_hands_over_instead_of_raising(self):
-        # Overridden gates void the pigeonhole step, so many neighborhoods
-        # hold no sunflower of the target size; the kernel must then leave
-        # the rows to the exact search.  Overrides also void the pruning
-        # argument, so a NO may be wrong, but a YES carries a verified witness.
+    def test_override_fuzz_hands_over_instead_of_raising(self, monkeypatch):
+        # Shrunken gates void the pigeonhole step, so many neighborhoods hold
+        # no sunflower of the target size; the kernel must then leave the
+        # rows to the exact search.
         rng = random.Random(7)
         pruned = 0
         for _ in range(600):
@@ -261,7 +261,8 @@ class TestPruning:
             rows = ["".join(rng.choice("01?") for _ in range(d)) for _ in range(n)]
             gate, target = rng.randint(1, 4), rng.randint(2, 4)
             instance = inst(rows, k, r, d)
-            outcome = solve(instance, gate_override=gate, target_override=target)
+            patch_gates(monkeypatch, gate, target)
+            outcome = solve(instance)
             pruned += any(e.kind == PRUNED for e in outcome.trace)
             if outcome.answer:
                 assert verify_solution(instance, outcome.witness).ok
@@ -453,18 +454,19 @@ class TestSolve:
                 == exhaustive_solve(capped, max_unknowns=40).answer
             )
 
-    def test_override_pruning_fires_on_unit_family(self):
+    def test_override_pruning_fires_on_unit_family(self, monkeypatch):
         # 10 rows >= k * gate, and the zero row's 1-neighborhood holds all of
         # them, so the pruning step must run before enumeration takes over
         d = 9
         units = ["".join("1" if i == j else "0" for j in range(d)) for i in range(d)]
         instance = inst(["0" * d] + units, 2, 1, d)
-        outcome = solve(instance, gate_override=5, target_override=3)
+        patch_gates(monkeypatch, 5, 3)
+        outcome = solve(instance)
         assert any(e.kind == "pruned" for e in outcome.trace)
         assert outcome.answer == exhaustive_solve(instance).answer
         assert verify_solution(instance, outcome.witness).ok
 
-    def test_greedy_bounded_after_pruning(self):
+    def test_greedy_bounded_after_pruning(self, monkeypatch):
         # Greedy picks p1 = e_1 and p2 = e_24 and then runs out: the first
         # removes the zero row and the 11 rows e_1 + e_j, the second the 11
         # rows e_c with a ? at coordinate 24.  The zero row has the largest
@@ -486,14 +488,15 @@ class TestSolve:
         rows += [row(c, unknown=23) for c in range(12, 23)]
         instance = inst(rows, 3, 1, d)
         assert greedy_attempt(instance) is None
-        outcome = solve(instance, gate_override=5, target_override=2)
+        patch_gates(monkeypatch, 5, 2)
+        outcome = solve(instance)
         assert outcome.method == "greedy-bounded"
         assert [e.kind for e in outcome.trace] == [PRUNED] * 10
         assert outcome.trace[0].row.text == rows[0]
         assert verify_solution(instance, outcome.witness).ok
         assert exhaustive_solve(instance, max_rows=instance.n).answer
 
-    def test_kernel_prunes_like_full_recompute(self):
+    def test_kernel_prunes_like_full_recompute(self, monkeypatch):
         # The unit family around 0^d, plus the one-flip neighbours of a second
         # centre 1110...0 at distance 3.  Greedy picks the two centres and runs
         # out of rows, the largest neighborhood moves between them as rows are
@@ -515,6 +518,7 @@ class TestSolve:
 
         rng = random.Random(1)
         thresholds = Thresholds.for_parameters(3, 1, gate_override=4, target_override=3)
+        patch_gates(monkeypatch, 4, 3)
         chains = 0
         for _ in range(30):
             d = rng.randint(8, 11)
@@ -525,13 +529,34 @@ class TestSolve:
                     rows.append(centre[:i] + str(1 - int(centre[i])) + centre[i + 1 :])
             rng.shuffle(rows)
             instance = inst(centres + rows, 3, 1, d)
-            outcome = solve(instance, gate_override=4, target_override=3)
+            outcome = solve(instance)
             assert list(outcome.trace) == reference_pruned(instance, thresholds)
             expected = exhaustive_solve(instance, max_rows=instance.n)
             assert outcome.answer == expected.answer
             assert verify_solution(instance, outcome.witness).ok
             chains += len(outcome.trace) >= 2
         assert chains >= 25
+
+    @pytest.mark.parametrize("d, pruned", [(53, 1), (60, 8), (80, 28)])
+    def test_certified_kernel_prunes_chain(self, d, pruned):
+        # A base row and its d copies with one ? each, k=2, r=0: every pair
+        # sits at known distance 0, so greedy fails and every neighborhood
+        # reaches the certified gate 27.  The kernel prunes down to 53 rows,
+        # below k * gate = 54, and the exact search decides.
+        rng = random.Random(d)
+        base = "".join(rng.choice("01") for _ in range(d))
+        rows = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
+        rng.shuffle(rows)
+        instance = inst(rows, 2, 0, d)
+        outcome = solve(instance)
+        assert [e.kind for e in outcome.trace] == [PRUNED] * pruned
+        assert dict(outcome.stats)["kernel_rows"] == 54
+        assert outcome.method == "brute-force"
+        assert outcome.answer and verify_solution(instance, outcome.witness).ok
+
+    def test_threshold_overrides_are_not_solve_arguments(self):
+        with pytest.raises(TypeError):
+            solve(inst(["0?", "11"], 2, 1), gate_override=5)
 
     def test_stats_repeat_across_runs(self):
         rng = random.Random(29)

@@ -218,6 +218,14 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("2 1\n01\n")
 
+    @pytest.mark.parametrize(
+        "header", ["+3 1_0 \u0661", "+2 1 0", "2 1_0 0", "2 1 \u0660", "2 -1 0", "2 1 0x1"]
+    )
+    def test_header_takes_only_ascii_decimals(self, header):
+        # int() reads the first as d=3, k=10, r=1.
+        with pytest.raises(ParseError, match="ASCII decimals"):
+            parse_instance(f"{header}\n01\n")
+
     def test_comments_and_blanks_ignored(self):
         inst = parse_instance("# header\n\n2 1 0\n# row\n01\n\n")
         assert [r.text for r in inst.rows] == ["01"]
@@ -254,3 +262,15 @@ class TestSolutionFormat:
     def test_missing_selection_line(self):
         with pytest.raises(ParseError):
             parse_solution("YES\n00\n")
+
+    @pytest.mark.parametrize("line", ["S: +0 1", "S: \u0660 1", "S: 0 1_0", "S: 0 -1"])
+    def test_selection_takes_only_ascii_decimals(self, line):
+        with pytest.raises(ParseError, match="bad selection line"):
+            parse_solution(f"YES\n00\n11\n{line}\n")
+
+    def test_selection_must_ascend(self):
+        with pytest.raises(ParseError, match="must ascend"):
+            parse_solution("YES\n00\n11\nS: 1 0\n")
+        # A repeat keeps its own message, wherever it sits.
+        with pytest.raises(ParseError, match="repeats row index 1"):
+            parse_solution("YES\n00\n11\nS: 1 0 1\n")
