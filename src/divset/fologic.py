@@ -133,7 +133,6 @@ _TOKEN = re.compile(r"->|[()~&|=.,]|E(?![a-z0-9])|[a-z][a-z0-9]*")
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, int]] = []
         pos = 0
         while pos < len(text):
@@ -194,6 +193,8 @@ class _Parser:
                 # Redundant grouping; accepted, not part of the canonical form.
                 self.take()
                 return left
+            if op is None:
+                raise ParseError("unexpected end of formula, expected a connective")
             if op not in ("&", "|", "->"):
                 raise ParseError(f"expected a connective, got {op!r}")
             self.take()

@@ -89,25 +89,25 @@ def _capped_series(limit: int, base: int) -> int:
     return acc
 
 
-def neighborhood_bound(k: int, r: int) -> int:
-    """The row-crowding threshold 3^((k-1)(r+1)) * sum a!*(2(k-1)(3(k-1)(r+1)+2r))^a.
+def _crowding(k: int, r: int, lead: int, base: int) -> int:
+    """3^((k-1)(r+1)) * (lead + sum a! * base^a for a in 1..(k-1)(r+1)+r).
 
     Saturates at 2^63-1; saturation only makes the gates harder to pass and
     the outcome falls back to exact enumeration, so it is always sound.
     """
-    if k < 1:
-        raise ContractError("k must be at least 1")
-    if r < 0:
-        raise ValueError("r must be non-negative")
     span = (k - 1) * (r + 1)
-    base = (k - 1) * 2 * (3 * span + 2 * r)
-    inner = _capped_series(span + r, base)
-    if inner == 0:
-        return 0
+    inner = lead + _capped_series(span + r, base)
     if span >= 40 or inner >= SATURATION_CAP:
         # 3^40 alone already exceeds the cap.
         return SATURATION_CAP
     return min(3**span * inner, SATURATION_CAP)
+
+
+def neighborhood_bound(k: int, r: int) -> int:
+    """The paper's row-crowding threshold: `_crowding` with no lead term and
+    base 2(k-1)(3(k-1)(r+1)+2r), the sunflower target minus two.  It is 0
+    at k = 1."""
+    return _crowding(k, r, 0, sunflower_target(k, r) - 2)
 
 
 def sunflower_target(k: int, r: int) -> int:
@@ -115,6 +115,8 @@ def sunflower_target(k: int, r: int) -> int:
     petals that can ever interfere with a solution."""
     if k < 1:
         raise ContractError("k must be at least 1")
+    if r < 0:
+        raise ValueError("r must be non-negative")
     span = (k - 1) * (r + 1)
     return (k - 1) * 2 * (3 * span + 2 * r) + 2
 
@@ -127,47 +129,29 @@ def neighborhood_gate(k: int, r: int) -> int:
     (duplicates are capped at k copies, so that class never exceeds k).
     Always >= neighborhood_bound(k, r).
     """
-    if k < 1:
-        raise ContractError("k must be at least 1")
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    span = (k - 1) * (r + 1)
-    inner = k + _capped_series(span + r, sunflower_target(k, r) - 1)
-    if span >= 40 or inner >= SATURATION_CAP:
-        return SATURATION_CAP
-    return min(3**span * inner, SATURATION_CAP)
+    return _crowding(k, r, k, sunflower_target(k, r) - 1)
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The solver's size gates: the row gate and the sunflower target."""
+    """The solver's size gates: the row gate (at least 1) and the sunflower
+    target (at least 2).  `for_parameters` gives the certified pair; tests
+    build a smaller pair directly to run `find_prunable_row` on desk-size
+    families, where the pruning argument no longer holds."""
 
     gate: int
     target: int
 
+    def __post_init__(self):
+        if self.gate < 1:
+            raise ValueError("gate must be at least 1")
+        if self.target < 2:
+            raise ValueError("sunflower target must be at least 2")
+
     @classmethod
-    def for_parameters(
-        cls,
-        k: int,
-        r: int,
-        *,
-        gate_override: int | None = None,
-        target_override: int | None = None,
-    ) -> "Thresholds":
-        """The certified gates for (k, r).  An override replaces one of them,
-        which voids the pruning argument; it lets `find_prunable_row` run on
-        desk-size families."""
-        gate = neighborhood_gate(k, r)
-        target = sunflower_target(k, r)
-        if gate_override is not None:
-            if gate_override < 1:
-                raise ValueError("gate override must be at least 1")
-            gate = gate_override
-        if target_override is not None:
-            if target_override < 2:
-                raise ValueError("sunflower target override must be at least 2")
-            target = target_override
-        return cls(gate, target)
+    def for_parameters(cls, k: int, r: int) -> "Thresholds":
+        """The certified gates for (k, r)."""
+        return cls(neighborhood_gate(k, r), sunflower_target(k, r))
 
 
 def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
@@ -322,11 +306,11 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     for alpha, table in sorted(tables.items()):
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
-        family = SetFamily(tuple(table), tuple(table.values()))
-        flower = find_sunflower(family, alpha, target)
+        flower = find_sunflower(SetFamily(tuple(table)), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
-        return min(family.tags[i] for i in flower.member_indices)
+        owners = tuple(table.values())
+        return min(owners[i] for i in flower.member_indices)
     return None
 
 

@@ -20,18 +20,13 @@ ElementSet = FrozenSet[Hashable]
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Equal-cardinality subsets of some finite universe, each tagged with the
-    index of the object it represents (defaults to its own position)."""
+    """Equal-cardinality subsets of some finite universe.  A sunflower names
+    its members by their positions here."""
 
     members: tuple[ElementSet, ...]
-    tags: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(frozenset(s) for s in self.members))
-        tags = tuple(self.tags) if self.tags else tuple(range(len(self.members)))
-        if len(tags) != len(self.members):
-            raise ValueError("tags must parallel members")
-        object.__setattr__(self, "tags", tags)
 
 
 @dataclass(frozen=True)

@@ -420,7 +420,7 @@ def test_criterion_10_desk_scale_performance():
 
 
 def test_criterion_11_pruning_with_overrides():
-    thresholds = Thresholds.for_parameters(2, 1, gate_override=5, target_override=3)
+    thresholds = Thresholds(5, 3)
     rng = random.Random(1111)
     for variant in range(50):
         d = rng.randint(4, 8)

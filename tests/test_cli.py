@@ -43,9 +43,16 @@ class TestSolve:
         assert main(["solve", no_instance]) == 1
 
     def test_malformed_exit_two(self, tmp_path, capsys):
-        bad = write(tmp_path / "bad.inst", "2 1 0\n0x\n")
-        assert main(["solve", bad]) == 2
-        assert "error" in capsys.readouterr().err
+        cases = (
+            ("2 1 0\n0x\n", "error"),
+            ("# only a comment\n", "error: missing 'd k r' header\n"),
+        )
+        for text, message in cases:
+            bad = write(tmp_path / "bad.inst", text)
+            assert main(["solve", bad]) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, text
+            assert message in err, text
 
     def test_header_in_other_digits_exit_two(self, tmp_path, capsys):
         # int() reads the header as d=3, k=10, r=1, and the answer is NO.
@@ -150,10 +157,30 @@ class TestVerify:
         sol = write(tmp_path / "i.sol", f"YES\n010\n111\n{line}\n")
         assert main(["verify", inst, sol]) == 2
 
-    def test_parse_error_exit_two(self, tmp_path):
+    def test_parse_error_exit_two(self, tmp_path, capsys):
+        # The last two files parse and fail the check: exit 1, one FAIL line.
+        cases = (
+            ("MAYBE\n", 2, "error: line 1: expected 'YES' or 'NO', got 'MAYBE'\n"),
+            ("NO\n00\n", 2, "error: line 2: unexpected content after 'NO'\n"),
+            (
+                "YES\n00\n11\nS: 0 1\n11\n",
+                2,
+                "error: line 5: unexpected content after the selection line\n",
+            ),
+            ("# no answer line\n", 2, "error: missing 'YES'/'NO' line\n"),
+            (
+                "YES\n00\nS: 0 1\n",
+                1,
+                "FAIL: completed row count 1 differs from instance row count 2\n",
+            ),
+            ("YES\n00\n11\nS: 0 5\n", 1, "FAIL: selected index 5 out of range\n"),
+        )
         inst = write(tmp_path / "i.inst", "2 2 1\n00\n11\n")
-        sol = write(tmp_path / "i.sol", "MAYBE\n")
-        assert main(["verify", inst, sol]) == 2
+        for text, code, message in cases:
+            sol = write(tmp_path / "i.sol", text)
+            assert main(["verify", inst, sol]) == code, text
+            captured = capsys.readouterr()
+            assert (captured.err if code == 2 else captured.out) == message, text
 
 
 class TestGenerate:
@@ -245,10 +272,31 @@ class TestFo:
         err = capsys.readouterr().err
         assert err == "error: formula nests deeper than 500 levels at position 509\n"
 
-    def test_bad_formula_exit_two(self, tmp_path):
-        formula = write(tmp_path / "f.fo", "E(x,y)\n")
-        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
-        assert main(["fo", "check", formula, graph]) == 2
+    def test_bad_formula_exit_two(self, tmp_path, capsys):
+        # Malformed formulas on a good graph, then malformed graphs under a
+        # good formula.
+        k2, sentence = "2 1\n1 2\n", "exists x. x=x\n"
+        cases = (
+            ("E(x,y)\n", k2, "error: unbound variable(s): x, y\n"),
+            ("exists x. x=x $\n", k2, "error: unexpected character '$' at position 14\n"),
+            (
+                "exists x. (x=x\n",
+                k2,
+                "error: unexpected end of formula, expected a connective\n",
+            ),
+            ("exists x. x=\n", k2, "error: unexpected end of formula, expected a variable\n"),
+            ("  \n", k2, "error: empty formula\n"),
+            ("exists x. x=x x\n", k2, "error: trailing input 'x' at position 14\n"),
+            (sentence, "2 1 3\n1 2\n", "error: line 1: expected header 'n m', got '2 1 3'\n"),
+            (sentence, "2 1\n1 2 3\n", "error: line 2: expected edge 'u v', got '1 2 3'\n"),
+            (sentence, "# no header\n", "error: missing 'n m' header\n"),
+            (sentence, "2 1\n1 3\n", "error: edge (1, 3) out of range 1..2\n"),
+        )
+        for text, graph_text, message in cases:
+            formula = write(tmp_path / "f.fo", text)
+            graph = write(tmp_path / "g.graph", graph_text)
+            assert main(["fo", "check", formula, graph]) == 2, (text, graph_text)
+            assert capsys.readouterr().err == message, (text, graph_text)
 
 
 class TestClosedPipe:

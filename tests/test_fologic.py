@@ -131,6 +131,8 @@ class TestEvaluate:
             "forall x. exists y. E(x,y)",
             "forall x. forall y. ((~(x=y) & ~E(x,y)) -> exists z. (E(x,z) & E(z,y)))",
             "exists x. forall y. (x=y | E(x,y))",
+            # The inner x shadows the outer one, which must be back for E(x,y).
+            "exists x. exists y. ((exists x. x=y) & E(x,y))",
         ]
         for _ in range(30):
             n = rng.randint(1, 4)

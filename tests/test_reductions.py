@@ -104,6 +104,12 @@ class TestDiversityEncoding:
                 got = exhaustive_solve(independent_set_to_diversity(g, k)).answer
                 assert got == expected, (g, k)
 
+    def test_independent_set_sizes_outside_one_to_n(self):
+        assert has_independent_set(P3, 0) and has_independent_set(P3, -1)
+        assert not has_independent_set(P3, 4)
+        assert has_independent_set(Graph(0, ()), 0)
+        assert not has_independent_set(Graph(0, ()), 1)
+
 
 class TestR2Encoding:
     def test_k2_disjoint_pairs(self):

@@ -72,10 +72,20 @@ class TestThresholds:
         with pytest.raises(ContractError):
             neighborhood_bound(0, 1)
 
-    def test_override_replaces_one_gate(self):
+    def test_negative_r_rejected(self):
+        for function in (neighborhood_bound, neighborhood_gate, sunflower_target):
+            with pytest.raises(ValueError):
+                function(2, -1)
+
+    def test_certified_pair_or_a_checked_one(self):
         certified = Thresholds.for_parameters(2, 1)
         assert certified == Thresholds(neighborhood_gate(2, 1), sunflower_target(2, 1))
-        assert Thresholds.for_parameters(2, 1, gate_override=5) == Thresholds(5, certified.target)
+        with pytest.raises(TypeError):
+            Thresholds.for_parameters(2, 1, gate_override=5)
+        Thresholds(1, 2)  # the smallest pair accepted
+        for gate, target in ((0, 3), (5, 1)):
+            with pytest.raises(ValueError):
+                Thresholds(gate, target)
 
 
 class TestHeavyRows:
@@ -212,7 +222,7 @@ class TestPruning:
 
     def test_unit_vector_family(self):
         instance = inst(["0000", "1000", "0100", "0010", "0001"], 2, 1)
-        th = Thresholds.for_parameters(2, 1, gate_override=5, target_override=3)
+        th = Thresholds(5, 3)
         f = find_prunable_row(instance, 0, th)
         assert f in {1, 2, 3, 4}
         remaining = Instance(instance.rows[:f] + instance.rows[f + 1 :], 2, 1, 4)
@@ -220,13 +230,13 @@ class TestPruning:
 
     def test_heavy_row_blocks_pruning(self):
         instance = inst(["???0", "1000", "0100", "0010", "0001"], 2, 1)
-        th = Thresholds.for_parameters(2, 1, gate_override=5, target_override=3)
+        th = Thresholds(5, 3)
         with pytest.raises(NotApplicableError):
             find_prunable_row(instance, 1, th)
 
     def test_small_neighborhood_blocks_pruning(self):
         instance = inst(["0000", "1111"], 2, 1)
-        th = Thresholds.for_parameters(2, 1, gate_override=5, target_override=3)
+        th = Thresholds(5, 3)
         with pytest.raises(NotApplicableError):
             find_prunable_row(instance, 0, th)
 
@@ -235,7 +245,7 @@ class TestPruning:
         # signatures.  The copies of 1000 reach that count only as repeats,
         # and {1}, {1}, {2} holds no 3-member sunflower, so the first two
         # families have nothing to prune; the third has three distinct sets.
-        th = Thresholds.for_parameters(2, 1, gate_override=3, target_override=3)
+        th = Thresholds(3, 3)
         families = (
             (["0000", "1000", "1000"], None),
             (["0000", "1000", "1000", "0100"], None),
@@ -517,7 +527,7 @@ class TestSolve:
             return pruned
 
         rng = random.Random(1)
-        thresholds = Thresholds.for_parameters(3, 1, gate_override=4, target_override=3)
+        thresholds = Thresholds(4, 3)
         patch_gates(monkeypatch, 4, 3)
         chains = 0
         for _ in range(30):
