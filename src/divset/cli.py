@@ -4,11 +4,15 @@ Exit codes everywhere: 0 = YES / pass, 1 = NO / fail, 2 = usage, input or
 internal error.  All randomness is driven by an explicit --seed (default 0) so
 runs are reproducible; reports are identical across runs except for timing
 fields.
+
+The argument parser is built once per process, on the first `main` call, and
+reused by every later call; `parse_args` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -216,6 +220,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divset",

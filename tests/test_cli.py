@@ -16,6 +16,15 @@ def write(path, text):
     return str(path)
 
 
+def child_env():
+    """The environment for a `python -m divset.cli` child: this checkout's
+    package first on the path, and buffered streams."""
+    src = str(Path(divset.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return env
+
+
 @pytest.fixture
 def yes_instance(tmp_path):
     return write(tmp_path / "yes.inst", "3 2 2\n000\n111\n")
@@ -309,9 +318,7 @@ class TestClosedPipe:
     def run_closed(argv, unbuffered, stderr_open=False):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(divset.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = child_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         try:
@@ -362,3 +369,78 @@ class TestBench:
         stats = [[case["stats"] for case in r["cases"]] for r in reports]
         assert stats[0] == stats[1]
         assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser per process, so nothing an
+    earlier call parsed may reach a later one."""
+
+    def test_oracle_flag_does_not_stick(self, yes_instance, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["solve", yes_instance, "--oracle", "--report", str(first)]) == 0
+        assert main(["solve", yes_instance, "--report", str(second)]) == 0
+        assert json.loads(first.read_text())["flags"] == {"oracle": True}
+        assert json.loads(second.read_text())["flags"] == {"oracle": False}
+
+    def test_output_path_does_not_stick(self, yes_instance, tmp_path, capsys):
+        out = tmp_path / "out.sol"
+        assert main(["solve", yes_instance, "--output", str(out)]) == 0
+        out.unlink()
+        assert main(["solve", yes_instance]) == 0
+        assert capsys.readouterr().out == "YES\n000\n111\nS: 0 1\n"
+        assert not out.exists()
+
+    def test_usage_error_leaves_next_call_as_fresh(self, yes_instance, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", yes_instance, "--zeta-gate", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code = main(["solve", yes_instance])
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "divset.cli", "solve", yes_instance],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_harness_report_does_not_reach_check(self, tmp_path, capsys):
+        formula = write(tmp_path / "f.fo", "forall x. exists y. E(x,y)\n")
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        record = tmp_path / "record.json"
+        assert main(["fo", "harness", formula, graph, "--report", str(record)]) == 0
+        record.unlink()
+        assert main(["fo", "check", formula, graph]) == 0
+        assert capsys.readouterr().out.endswith("}\ntrue\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.fo", "k2.graph"]
+
+    def test_parser_built_once_per_process(self, yes_instance, tmp_path):
+        # Counts the parsers constructed (the top level and one per
+        # subcommand) after each of three calls to different subcommands.
+        formula = write(tmp_path / "f.fo", "exists x. E(x,x)\n")
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        script = f"""
+import argparse, contextlib, io, json
+from divset.cli import main
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+counts = []
+for argv in {[["solve", yes_instance], ["generate", "embed", graph], ["fo", "check", formula, graph]]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    counts.append(built)
+print(json.dumps(counts))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(done.stdout)
+        assert counts[0] > 0 and counts == [counts[0]] * 3
