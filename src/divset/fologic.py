@@ -1,6 +1,12 @@
-"""First-order sentences over graphs: parser, naive evaluator, and the
+"""First-order sentences over graphs: parser, evaluator, and the
 relativizing rewriter that transfers a sentence from a graph to its
 subdivide-once-plus-leaf embedding.
+
+The evaluator compiles a formula once per call into nested closures.  A
+quantifier guarded by an adjacency atom ranges over the neighbours of the
+guard's other variable instead of all vertices, and every quantifier
+memoises its result by the values of its free variables; the memo lives
+for one call.
 
 Concrete syntax:
 
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from operator import itemgetter
+from typing import Callable, Union
 
 from .errors import ContractError, ParseError, UnboundVariableError
 from .reductions import Graph, distance_graph, hypercube_embedding
@@ -235,59 +242,99 @@ def parse_formula(text: str, *, require_sentence: bool = True) -> Formula:
     return phi
 
 
-_MISSING = object()
+def _guard(f: Formula, var: str) -> str | None:
+    """The variable a of the atom E(a,var) or E(var,a), a != var, that is the
+    leftmost conjunct of f, or None if there is no such atom."""
+    while isinstance(f, And):
+        f = f.left
+    if isinstance(f, Adjacent) and (f.x == var) != (f.y == var):
+        return f.y if f.x == var else f.x
+    return None
+
+
+def _no_key(slots: list[int]) -> None:
+    return None
 
 
 def evaluate(graph: Graph, phi: Formula, binding: dict[str, int] | None = None) -> bool:
     """Standard semantics over the graph's symmetric irreflexive adjacency.
 
-    Naive: quantifiers loop over all vertices, cost O(n^depth * size).
-    Sentences only, unless `binding` assigns a vertex to every free variable.
+    Sentences only, unless `binding` assigns a vertex 1..n to every free
+    variable.  The formula is compiled once per call into nested closures,
+    one per node.  A guarded quantifier ranges over the neighbours of a
+    only: "exists v" whose body's leftmost conjunct is E(a,v) or E(v,a),
+    and "forall v" whose body is an implication whose antecedent's
+    leftmost conjunct is such an atom, a != v in both.  Any other vertex
+    makes that conjunction false.  Every other quantifier ranges over all n
+    vertices.  Each quantifier memoises its result by the values of its
+    free variables; the memo lives for one call.
     """
-    env: dict[str, int] = dict(binding) if binding else {}
-    unbound = free_variables(phi) - env.keys()
+    binding = binding or {}
+    unbound = free_variables(phi) - binding.keys()
     if unbound:
         raise ContractError(
             "unassigned free variable(s): " + ", ".join(sorted(unbound))
         )
+    for var, value in binding.items():
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= graph.n:
+            raise ContractError(
+                f"binding {var}={value!r} is not a vertex of the graph (1..{graph.n})"
+            )
     adjacency = graph.adjacency()
     vertices = range(1, graph.n + 1)
+    # One slot per `binding` entry and one per quantifier node.  A quantifier
+    # writes only its own slot, so a shadowed variable needs no restoring.
+    slots: list[int] = list(binding.values())
 
-    def rec(f: Formula) -> bool:
-        if isinstance(f, Adjacent):
-            return env[f.y] in adjacency[env[f.x]]
-        if isinstance(f, Equal):
-            return env[f.x] == env[f.y]
+    def compile_(f: Formula, scope: dict[str, int]) -> tuple[Callable[[], bool], frozenset[int]]:
+        """The closure that evaluates f, and the slots it reads."""
+        if isinstance(f, (Adjacent, Equal)):
+            i, j = scope[f.x], scope[f.y]
+            if isinstance(f, Adjacent):
+                return (lambda: slots[j] in adjacency[slots[i]]), frozenset((i, j))
+            return (lambda: slots[i] == slots[j]), frozenset((i, j))
         if isinstance(f, Not):
-            return not rec(f.body)
-        if isinstance(f, And):
-            return rec(f.left) and rec(f.right)
-        if isinstance(f, Or):
-            return rec(f.left) or rec(f.right)
-        if isinstance(f, Implies):
-            return (not rec(f.left)) or rec(f.right)
-        saved = env.get(f.var, _MISSING)
-        if isinstance(f, Exists):
-            result = False
-            for v in vertices:
-                env[f.var] = v
-                if rec(f.body):
-                    result = True
-                    break
-        else:
-            result = True
-            for v in vertices:
-                env[f.var] = v
-                if not rec(f.body):
-                    result = False
-                    break
-        if saved is _MISSING:
-            env.pop(f.var, None)
-        else:
-            env[f.var] = saved
-        return result
+            body, reads = compile_(f.body, scope)
+            return (lambda: not body()), reads
+        if isinstance(f, (And, Or, Implies)):
+            left, left_reads = compile_(f.left, scope)
+            right, right_reads = compile_(f.right, scope)
+            reads = left_reads | right_reads
+            if isinstance(f, And):
+                return (lambda: left() and right()), reads
+            if isinstance(f, Or):
+                return (lambda: left() or right()), reads
+            return (lambda: not left() or right()), reads
 
-    return rec(phi)
+        k = len(slots)
+        slots.append(0)
+        body, reads = compile_(f.body, {**scope, f.var: k})
+        reads = reads - {k}
+        exists = isinstance(f, Exists)
+        if exists:
+            guard = _guard(f.body, f.var)
+        else:
+            guard = _guard(f.body.left, f.var) if isinstance(f.body, Implies) else None
+        g = None if guard is None else scope[guard]
+        key = itemgetter(*sorted(reads)) if reads else _no_key
+        memo: dict = {}
+
+        def quantifier() -> bool:
+            sig = key(slots)
+            result = memo.get(sig)
+            if result is None:
+                result = not exists
+                for v in vertices if g is None else adjacency[slots[g]]:
+                    slots[k] = v
+                    if body() is exists:
+                        result = exists
+                        break
+                memo[sig] = result
+            return result
+
+        return quantifier, reads
+
+    return compile_(phi, dict(zip(binding, range(len(slots)))))[0]()
 
 
 def default_vertex_classifier() -> Formula:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,38 @@ class TestFo:
         assert main(["fo", "harness", formula, graph, "--report", str(report_path)]) == 0
         record = json.loads(report_path.read_text())
         assert "agree" in record and "h_holds" in record and "g_holds" in record
+
+    @pytest.mark.parametrize(
+        "text, g_holds",
+        [
+            # Every edge lies on a triangle.  The default classifier also
+            # admits leaves, so the embedded value need not agree.
+            ("forall x. forall y. (E(x,y) -> exists z. (E(x,z) & E(y,z)))", True),
+            ("exists x. exists y. exists z. ((E(x,y) & E(y,z)) & E(x,z))", True),
+        ],
+    )
+    def test_harness_on_depth_three_sentences(self, tmp_path, capsys, text, g_holds):
+        # Two-universal and triangle sentences on the benchmark's graph size,
+        # n=12 and m=20, whose embedding has n+2m = 52 vertices.
+        rng = random.Random(0)
+        n, m = 12, 20
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = sorted(rng.sample(pairs, m))
+        adj = {v: set() for v in range(1, n + 1)}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        if text.startswith("forall"):
+            h_holds = all(adj[u] & adj[v] for u, v in edges)
+        else:
+            h_holds = any(adj[u] & adj[v] for u, v in edges)
+        formula = write(tmp_path / "f.fo", text + "\n")
+        graph = write(tmp_path / "g.graph", f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        assert main(["fo", "harness", formula, graph]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["g_vertices"] == n + 2 * m
+        assert record["h_holds"] is h_holds
+        assert record["g_holds"] is g_holds
 
     def test_crash_exits_two_not_false(self, tmp_path, capsys):
         # Far past the depth limit; exit 1 would read as "false", and a

@@ -124,6 +124,20 @@ class TestEvaluate:
         assert evaluate(K2, phi, {"x": 1, "y": 2})
         assert not evaluate(K2, phi, {"x": 1, "y": 1})
 
+    def test_binding_outside_the_graph_rejected(self):
+        # Before evaluation, whichever atom would read the value.
+        cases = (("E(x,y)", {"x": 5, "y": 1}, "x=5"), ("x=y", {"x": 9, "y": 9}, "x=9"))
+        for text, binding, named in cases:
+            phi = parse_formula(text, require_sentence=False)
+            with pytest.raises(ContractError, match=named):
+                evaluate(K2, phi, binding)
+
+    def test_binding_not_an_int_rejected(self):
+        phi = parse_formula("x=y", require_sentence=False)
+        for value in ("1", 1.0, True, None):
+            with pytest.raises(ContractError, match="y="):
+                evaluate(K2, phi, {"x": 1, "y": value})
+
     def test_agrees_with_expansion_evaluator(self):
         rng = random.Random(8)
         sentences = [
@@ -143,6 +157,67 @@ class TestEvaluate:
             for text in sentences:
                 phi = parse_formula(text)
                 assert evaluate(g, phi) == tt_evaluate(g, phi)
+
+
+class TestRewrittenAgainstOracle:
+    """`evaluate` against `tt_evaluate` on subdivision embeddings, where the
+    rewriter's guarded quantifiers and repeated classifier copies reach the
+    neighbour ranges and the per-quantifier memo."""
+
+    SENTENCES = (
+        "exists x. exists y. (E(x,y) & ~(x=y))",
+        "forall x. exists y. E(x,y)",
+        "exists x. forall y. (x=y | E(x,y))",
+        "exists x. exists y. ((exists x. x=y) & E(x,y))",
+    )
+    # Evaluated as written as well as rewritten: the rewrite turns every
+    # E atom into a path, so these guards exist only in the original.
+    SHAPES = (
+        # guards written E(a,v) and E(v,a)
+        "forall x. exists y. (E(x,y) & ~exists z. (E(y,z) & ~z=x))",
+        "forall x. exists y. (E(y,x) & forall z. (E(z,y) -> (z=x | E(z,x))))",
+        # E(v,v) is not a guard, nor is an atom under "|"
+        "exists x. exists y. (E(y,y) & E(x,y))",
+        "forall x. forall y. (E(y,y) -> ~x=x)",
+        "forall x. exists y. ((E(y,y) | E(x,y)) & ~x=y)",
+        # a guard buried in the leftmost conjunct
+        "exists x. exists y. ((E(x,y) & ~x=y) & forall z. (E(z,x) -> (z=y | E(z,y))))",
+        # a universal whose body is not an implication
+        "exists x. forall y. (E(x,y) & ~x=y)",
+        "exists x. forall y. (E(x,y) | x=y)",
+        # an implication whose consequent, not antecedent, is the atom
+        "exists x. forall y. (~x=y -> E(x,y))",
+        # the guard variable, or the bound one, shadowed inside the body
+        "forall x. exists y. (E(x,y) & exists x. (E(y,x) & forall y. (E(x,y) -> ~x=y)))",
+        "exists x. exists y. (E(x,y) & exists y. (~E(x,y) & ~x=y))",
+        # one quantifier node under many outer bindings, some of them False
+        "exists w. forall x. (E(w,x) -> exists y. (E(x,y) & ~exists z. (E(y,z) & ~z=x)))",
+        "forall x. forall w. (exists y. (E(x,y) & forall z. (E(y,z) -> z=x)) | ~E(x,w))",
+    )
+
+    @staticmethod
+    def graphs(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(2, 5)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            yield Graph(n, tuple(rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))))
+
+    def test_rewritten_sentences(self):
+        phis = [parse_formula(text) for text in self.SENTENCES + self.SHAPES]
+        for g in self.graphs(31, 12):
+            embedded = distance_graph(hypercube_embedding(g), 1)
+            for phi in phis:
+                rewritten = rewrite_sentence(phi)
+                assert evaluate(embedded, rewritten) == tt_evaluate(embedded, rewritten), (g, phi)
+
+    def test_shapes_as_written(self):
+        phis = [parse_formula(text) for text in self.SHAPES]
+        for g in self.graphs(32, 20):
+            embedded = distance_graph(hypercube_embedding(g), 1)
+            for graph in (g, embedded):
+                for phi in phis:
+                    assert evaluate(graph, phi) == tt_evaluate(graph, phi), (graph, phi)
 
 
 class TestClassifier:
