@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from divset import (
     to_text,
 )
 from divset.fologic import Adjacent, And, Equal, Exists, ForAll, Implies, Not
+from test_acceptance import CORPUS
 
 K2 = Graph(2, ((1, 2),))
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
@@ -278,6 +280,20 @@ class TestRewrite:
                 parse_formula("exists x. E(x,x)"),
                 classifier=parse_formula("E(x,y)", require_sentence=False),
             )
+
+    def test_rewrites_pinned(self):
+        # One SHA-256 over the rewrites of criterion 09's corpus and the
+        # oracle test's sentences and shapes, one line each: a change to a
+        # variable name, the fresh-name order or the layout moves it.
+        oracle = TestRewrittenAgainstOracle
+        texts = CORPUS + list(oracle.SENTENCES + oracle.SHAPES)
+        assert len(texts) == 37
+        digest = hashlib.sha256()
+        for text in texts:
+            digest.update(to_text(rewrite_sentence(parse_formula(text))).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "7a8712d7f7a74ce421a03d145cd49ca03edb9b0aad3a180f26f95746fff6d6b0"
+        )
 
     def test_rejects_open_formulas(self):
         with pytest.raises(ContractError):
