@@ -11,7 +11,6 @@ from .errors import (
     UnboundVariableError,
 )
 from .fologic import (
-    default_vertex_classifier,
     embedding_transfer_report,
     evaluate,
     formula_size,
@@ -19,6 +18,7 @@ from .fologic import (
     parse_formula,
     rewrite_sentence,
     to_text,
+    vertex_classifier,
 )
 from .reductions import (
     Graph,

@@ -17,7 +17,7 @@ Concrete syntax:
 Variables match [a-z][a-z0-9]*; "exists" and "forall" are reserved.  The
 parser additionally accepts redundant grouping parentheses; the serializer
 emits the canonical minimal form.  Nesting deeper than 500 levels is a
-ParseError.
+ParseError; a rewrite nesting deeper than 800 is a ContractError.
 """
 
 from __future__ import annotations
@@ -130,10 +130,14 @@ def to_text(phi: Formula) -> str:
 
 # Deepest nesting the parser accepts, counting the whole formula as level 1
 # and each operand, quantifier body or parenthesised group as one more.  The
-# recursive functions below stay inside Python's default stack at this depth,
-# except on the output of `rewrite_sentence`, which nests a chain of
-# quantifiers twice as deep.
+# recursive functions below stay inside Python's default stack at this depth.
 _MAX_DEPTH = 500
+# Deepest nesting `rewrite_sentence` emits, counted the same way.  A chain of
+# L quantifiers rewrites to 2L+6 levels.  Called from a short script, the
+# recursive functions print, size and evaluate such rewrites up to 986 levels
+# (L=490), and up to 926 or 866 under 60 or 120 more caller frames.  800
+# (L=397) leaves room for about 180 caller frames, a test runner's among them.
+_MAX_REWRITE_DEPTH = 800
 
 _TOKEN = re.compile(r"->|[()~&|=.,]|E(?![a-z0-9])|[a-z][a-z0-9]*")
 
@@ -337,40 +341,28 @@ def evaluate(graph: Graph, phi: Formula, binding: dict[str, int] | None = None) 
     return compile_(phi, dict(zip(binding, range(len(slots)))))[0]()
 
 
-def default_vertex_classifier() -> Formula:
-    """The one-free-variable test the rewriter relativizes quantifiers with:
-    every neighbor of x has a neighbor other than x.  Pluggable: any formula
-    with exactly one free variable works in its place."""
+def vertex_classifier(x: str, y: str, z: str) -> Formula:
+    """The test the rewriter relativizes quantifiers with, free in x only:
+    every neighbor y of x has a neighbor z other than x."""
     return ForAll(
-        "y",
-        Implies(
-            Adjacent("x", "y"),
-            Exists("z", And(Not(Equal("z", "x")), Adjacent("y", "z"))),
-        ),
+        y, Implies(Adjacent(x, y), Exists(z, And(Not(Equal(z, x)), Adjacent(y, z))))
     )
 
 
-def rewrite_sentence(phi: Formula, classifier: Formula | None = None) -> Formula:
+def rewrite_sentence(phi: Formula) -> Formula:
     """Transfer a sentence to the subdivision embedding.
 
     Every "exists x" becomes "exists x (classifier(x) & ...)", every
     "forall x" becomes "forall x (classifier(x) -> ...)", and every adjacency
     atom E(x,y) becomes "exists s ((E(x,s) & E(s,y)) & ~(x=y))" with s fresh.
-    Bound variables of classifier copies are freshened, so no capture is
-    possible.  With the default classifier the output has at most 20 times
-    the input's node count.
+    Each copy of `vertex_classifier` binds two fresh variables, so no capture
+    is possible.  The output has at most 20 times the input's node count.
+    An output that would nest deeper than _MAX_REWRITE_DEPTH levels is a
+    ContractError.
     """
     if free_variables(phi):
         raise ContractError("only sentences can be rewritten")
-    classifier = default_vertex_classifier() if classifier is None else classifier
-    cfree = free_variables(classifier)
-    if len(cfree) != 1:
-        raise ContractError(
-            f"classifier must have exactly one free variable, has {len(cfree)}"
-        )
-    (hole,) = cfree
-
-    used = set(all_variables(phi)) | set(all_variables(classifier))
+    used = set(all_variables(phi))
     counter = 0
 
     def fresh() -> str:
@@ -382,23 +374,14 @@ def rewrite_sentence(phi: Formula, classifier: Formula | None = None) -> Formula
                 used.add(name)
                 return name
 
-    def instantiate(f: Formula, rename: dict[str, str]) -> Formula:
-        if isinstance(f, Adjacent):
-            return Adjacent(rename.get(f.x, f.x), rename.get(f.y, f.y))
-        if isinstance(f, Equal):
-            return Equal(rename.get(f.x, f.x), rename.get(f.y, f.y))
-        if isinstance(f, Not):
-            return Not(instantiate(f.body, rename))
-        if isinstance(f, (And, Or, Implies)):
-            return type(f)(instantiate(f.left, rename), instantiate(f.right, rename))
-        new = fresh()
-        body = instantiate(f.body, {**rename, f.var: new})
-        return type(f)(new, body)
-
-    def classify(var: str) -> Formula:
-        return instantiate(classifier, {hole: var})
-
-    def rec(f: Formula) -> Formula:
+    def rec(f: Formula, level: int) -> Formula:
+        # f's rewrite sits at output `level`; an atom E adds 3 levels below
+        # it, a quantifier 1 plus the classifier's 6.
+        below = 3 if isinstance(f, Adjacent) else 7 if isinstance(f, (Exists, ForAll)) else 0
+        if level + below > _MAX_REWRITE_DEPTH:
+            raise ContractError(
+                f"rewritten sentence would nest deeper than {_MAX_REWRITE_DEPTH} levels"
+            )
         if isinstance(f, Adjacent):
             s = fresh()
             return Exists(
@@ -408,22 +391,21 @@ def rewrite_sentence(phi: Formula, classifier: Formula | None = None) -> Formula
         if isinstance(f, Equal):
             return f
         if isinstance(f, Not):
-            return Not(rec(f.body))
+            return Not(rec(f.body, level + 1))
         if isinstance(f, (And, Or, Implies)):
-            return type(f)(rec(f.left), rec(f.right))
+            return type(f)(rec(f.left, level + 1), rec(f.right, level + 1))
+        classified = vertex_classifier(f.var, fresh(), fresh())
         if isinstance(f, Exists):
-            return Exists(f.var, And(classify(f.var), rec(f.body)))
-        return ForAll(f.var, Implies(classify(f.var), rec(f.body)))
+            return Exists(f.var, And(classified, rec(f.body, level + 2)))
+        return ForAll(f.var, Implies(classified, rec(f.body, level + 2)))
 
-    return rec(phi)
+    return rec(phi, 1)
 
 
-def embedding_transfer_report(
-    graph: Graph, phi: Formula, classifier: Formula | None = None
-) -> dict:
+def embedding_transfer_report(graph: Graph, phi: Formula) -> dict:
     """Evaluate a sentence on a graph and its rewritten form on the graph's
     subdivision embedding; agreement is recorded, never asserted."""
-    rewritten = rewrite_sentence(phi, classifier)
+    rewritten = rewrite_sentence(phi)
     embedded = distance_graph(hypercube_embedding(graph), 1)
     lhs = evaluate(graph, phi)
     rhs = evaluate(embedded, rewritten)

@@ -62,7 +62,8 @@ class SolveOutcome:
     `stage_seconds` times each stage.  `stats` holds `solve`'s deterministic
     sizes: `rows_in`, `rows_reduced` and `k_reduced` after the duplicate caps
     and the heavy-row strip, and `kernel_rows`, the k * gate rows the kernel
-    needs (None when k < 2 and the greedy pass decides alone).
+    needs, saturating like the gate (None when k < 2 and the greedy pass
+    decides alone).
     """
 
     answer: bool
@@ -592,7 +593,7 @@ def solve(instance: Instance) -> SolveOutcome:
         witness, method = greedy_attempt(current), "shortcut"
     else:
         thresholds = Thresholds.for_parameters(k, r)
-        kernel_rows = k * thresholds.gate
+        kernel_rows = min(k * thresholds.gate, SATURATION_CAP)
         witness, method = greedy_attempt(current), "greedy"
         if witness is None:
             witness, method = _kernel(current, thresholds, events)

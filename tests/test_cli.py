@@ -247,8 +247,8 @@ class TestFo:
     @pytest.mark.parametrize(
         "text, g_holds",
         [
-            # Every edge lies on a triangle.  The default classifier also
-            # admits leaves, so the embedded value need not agree.
+            # Every edge lies on a triangle.  The classifier also admits
+            # leaves, so the embedded value need not agree.
             ("forall x. forall y. (E(x,y) -> exists z. (E(x,z) & E(y,z)))", True),
             ("exists x. exists y. exists z. ((E(x,y) & E(y,z)) & E(x,z))", True),
         ],
@@ -293,6 +293,30 @@ class TestFo:
         formula = write(tmp_path / "deep.fo", "exists x. " * 499 + "x=x\n")
         code = main(["fo", "rewrite", formula])
         assert (code, capsys.readouterr().err.count("\n")) in ((0, 0), (2, 1))
+
+    def test_rewrite_bound_accepted(self, tmp_path, capsys):
+        # A chain of L quantifiers rewrites to 2L+6 levels, so 397 reach the
+        # rewrite bound of 800 exactly; printing, sizing and evaluating the
+        # rewrite must fit in the stack left under a test runner.
+        formula = write(tmp_path / "f.fo", "exists x. " * 397 + "x=x\n")
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        assert main(["fo", "rewrite", formula]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.endswith("\nnodes: 398 -> 3971 (ratio 9.98)\n")
+        assert main(["fo", "harness", formula, graph]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["h_holds"] is True and record["g_holds"] is True
+
+    @pytest.mark.parametrize("quantifiers", [398, 499])
+    @pytest.mark.parametrize("command", ["rewrite", "harness"])
+    def test_past_rewrite_bound_exit_two(self, tmp_path, capsys, command, quantifiers):
+        formula = write(tmp_path / "f.fo", "exists x. " * quantifiers + "x=x\n")
+        graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+        argv = ["fo", command, formula] + ([graph] if command == "harness" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rewritten sentence would nest deeper than 800 levels\n"
 
     @staticmethod
     def nested(levels):

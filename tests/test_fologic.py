@@ -9,7 +9,6 @@ from divset import (
     Graph,
     ParseError,
     UnboundVariableError,
-    default_vertex_classifier,
     distance_graph,
     embedding_transfer_report,
     evaluate,
@@ -19,8 +18,9 @@ from divset import (
     parse_formula,
     rewrite_sentence,
     to_text,
+    vertex_classifier,
 )
-from divset.fologic import Adjacent, And, Equal, Exists, ForAll, Implies, Not
+from divset.fologic import Adjacent, And, Equal, Exists, ForAll, Implies, Not, Or
 from test_acceptance import CORPUS
 
 K2 = Graph(2, ((1, 2),))
@@ -224,11 +224,11 @@ class TestRewrittenAgainstOracle:
 
 class TestClassifier:
     def test_default_has_one_free_variable(self):
-        assert free_variables(default_vertex_classifier()) == {"x"}
+        assert free_variables(vertex_classifier("x", "y", "z")) == {"x"}
 
     def test_on_embedded_k2(self):
         g = distance_graph(hypercube_embedding(K2), 1)
-        cls = default_vertex_classifier()
+        cls = vertex_classifier("x", "y", "z")
         # vertices 1, 2 are the originals, 3 the subdivision vertex, 4 its leaf
         assert evaluate(g, cls, {"x": 1})
         assert evaluate(g, cls, {"x": 2})
@@ -266,7 +266,7 @@ class TestRewrite:
             assert free_variables(rewritten) == frozenset()
 
     def test_no_capture_when_sentence_reuses_classifier_names(self):
-        # y and z also appear bound inside the default classifier
+        # y and z are also the names vertex_classifier is defined with
         phi = parse_formula("exists y. exists z. (E(y,z) & ~(y=z))")
         rewritten = rewrite_sentence(phi)
         g = distance_graph(hypercube_embedding(K2), 1)
@@ -274,12 +274,27 @@ class TestRewrite:
         assert evaluate(K2, phi)
         assert isinstance(evaluate(g, rewritten), bool)
 
-    def test_classifier_arity_checked(self):
-        with pytest.raises(ContractError):
-            rewrite_sentence(
-                parse_formula("exists x. E(x,x)"),
-                classifier=parse_formula("E(x,y)", require_sentence=False),
-            )
+    def test_depth_bound_exact(self):
+        # Each pair's first sentence rewrites to exactly 800 levels, deepest
+        # in the last quantifier's classifier, an E atom's path, or an "="
+        # atom; one more quantifier or "~" is one level or two too many.
+        def depth(f):
+            if isinstance(f, (Adjacent, Equal)):
+                return 1
+            if isinstance(f, (And, Or, Implies)):
+                return 1 + max(depth(f.left), depth(f.right))
+            return 1 + depth(f.body)
+
+        chain = "exists x. "
+        cases = (
+            (chain * 397 + "x=x", chain * 398 + "x=x"),
+            (chain * 396 + "~" * 4 + "E(x,x)", chain * 396 + "~" * 5 + "E(x,x)"),
+            (chain * 396 + "~" * 7 + "x=x", chain * 396 + "~" * 8 + "x=x"),
+        )
+        for at_bound, past in cases:
+            assert depth(rewrite_sentence(parse_formula(at_bound))) == 800
+            with pytest.raises(ContractError, match="nest deeper than 800 levels"):
+                rewrite_sentence(parse_formula(past))
 
     def test_rewrites_pinned(self):
         # One SHA-256 over the rewrites of criterion 09's corpus and the

@@ -586,6 +586,14 @@ class TestSolve:
             stats = dict(first.stats)
             assert stats["rows_in"] == instance.n
             assert (stats["kernel_rows"] is None) == (stats["k_reduced"] < 2)
+            # k * gate saturates like the gate: k=3, r=2 already has gate CAP.
+            if stats["kernel_rows"] is not None:
+                assert stats["kernel_rows"] == min(
+                    stats["k_reduced"] * neighborhood_gate(stats["k_reduced"], instance.r), CAP
+                )
+        # plot.inst's parameters, where k * gate once read 5 * CAP.
+        outcome = solve(inst(["0" * 8, "1" * 8], 5, 4, 8))
+        assert dict(outcome.stats)["kernel_rows"] == CAP
 
     def test_stage_timings_present(self):
         outcome = solve(inst(["0?", "11"], 2, 1))
