@@ -41,6 +41,7 @@ from .solver import exhaustive_solve, solve
 from .vectors import (
     Instance,
     PartialVector,
+    _decimal,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -243,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="build instances/matrices from a graph")
     p_gen.add_argument("kind", choices=("is-w1", "is-r2", "embed"))
     p_gen.add_argument("graph")
-    p_gen.add_argument("-k", type=int, help="independent-set size (is-w1 / is-r2)")
+    p_gen.add_argument("-k", type=_decimal, help="independent-set size (is-w1 / is-r2)")
     p_gen.add_argument(
         "--disjoint-pairs",
         action="store_true",

@@ -107,20 +107,6 @@ def known_distance(a: PartialVector, b: PartialVector) -> int:
     return ((a.ones & b.zeros) | (a.zeros & b.ones)).bit_count()
 
 
-def disagreement_set(a: PartialVector, b: PartialVector) -> frozenset[int]:
-    """The 1-based coordinates at which a and b are guaranteed to differ."""
-    if a.d != b.d:
-        raise DimensionMismatch(f"vector length {a.d} vs {b.d}")
-    mask = (a.ones & b.zeros) | (a.zeros & b.ones)
-    coords = set()
-    d = a.d
-    while mask:
-        low = mask & -mask
-        coords.add(d - (low.bit_length() - 1))
-        mask ^= low
-    return frozenset(coords)
-
-
 @dataclass(frozen=True)
 class Instance:
     """An ordered list of rows plus the target set size k, the distance

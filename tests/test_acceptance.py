@@ -10,36 +10,42 @@ import random
 import time
 from math import factorial
 
-from divset import (
-    Graph,
-    Instance,
-    PartialVector,
-    SetFamily,
-    Thresholds,
-    distance_graph,
+from divset.fologic import (
+    Adjacent,
+    And,
+    Equal,
+    Exists,
+    ForAll,
+    Implies,
+    Not,
     embedding_transfer_report,
     evaluate,
-    exhaustive_solve,
-    find_prunable_row,
-    find_sunflower,
     formula_size,
+    parse_formula,
+    rewrite_sentence,
+)
+from divset.reductions import (
+    Graph,
+    distance_graph,
     has_independent_set,
     hypercube_embedding,
     independent_set_to_diversity,
-    known_distance,
+    r2_equivalence_report,
+    subdivided_with_leaves,
+)
+from divset.solver import (
+    SATURATION_CAP,
+    Thresholds,
+    exhaustive_solve,
+    find_prunable_row,
     lift_heavy_row,
     neighborhood_bound,
     neighborhood_gate,
-    parse_formula,
-    r2_equivalence_report,
-    rewrite_sentence,
     solve,
     strip_heavy_row,
-    subdivided_with_leaves,
-    verify_solution,
 )
-from divset.fologic import Adjacent, And, Equal, Exists, ForAll, Implies, Not
-from divset.solver import SATURATION_CAP
+from divset.sunflowers import SetFamily, find_sunflower
+from divset.vectors import Instance, PartialVector, known_distance, verify_solution
 
 SUITE2_SEED = 1202
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import divset
-from divset import neighborhood_gate
-from divset.cli import main
+from divset.cli import _BENCH_CASES, _bench_instance, _digest, main
+from divset.solver import neighborhood_gate
+from divset.vectors import serialize_instance
 
 
 def write(path, text):
@@ -216,6 +217,18 @@ class TestGenerate:
     def test_missing_k(self, tmp_path):
         graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
         assert main(["generate", "is-r2", graph]) == 2
+
+    @pytest.mark.parametrize("kind", ["is-r2", "is-w1"])
+    @pytest.mark.parametrize("k", ["-1", "1_0", "\u0662"])
+    def test_k_takes_ascii_decimals_only(self, tmp_path, capsys, kind, k):
+        # `int` would read these as -1, 10 and 2.
+        graph = write(tmp_path / "p3.graph", "3 2\n1 2\n2 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", kind, graph, "-k", k])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument -k: invalid _decimal value: {k!r}" in captured.err
 
 
 class TestFo:
@@ -426,6 +439,43 @@ class TestBench:
         stats = [[case["stats"] for case in r["cases"]] for r in reports]
         assert stats[0] == stats[1]
         assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]
+
+    def test_instance_digests_pinned(self):
+        # Every bench case's instance digest for seeds 0 and 7, without
+        # solving.  Seed 0's list is the one committed in BENCH_4.json and
+        # BENCH_5.json, so a changed case, seed or generator shows here.
+        pinned = {
+            0: [
+                "24cd7a41d6dcf6d9", "f1c16e94aebbdfe7", "1800a822112eb39b", "baf5cc7607696e28",
+                "664d69be14e2b58b", "63941e65d33db6ef", "21be3874494fee94", "a73016e9d0fea8ff",
+                "60ecee1463476e2b", "645f43b0dadfb41f", "6904bb11fc19671f", "2d90e83787c5a4c2",
+                "bef2d8c1c49a7e9e", "5efd108c47d271d5", "6b4f1835e7c762c2", "0defa2c2f2aa509e",
+            ],
+            7: [
+                "3da14ad9ce7250e4", "a5780534080e00b3", "942f2012f012bb82", "758597a81b3845e8",
+                "885ff9aa8f10f1b8", "f34018d3ee6cda65", "743664ec80ddfe60", "ed33925d2c681ce5",
+                "3f134048fd14bba2", "b00ae2237a8c2522", "88094f92df936547", "ad3f649e5b1033a2",
+                "faafb63d8f018b90", "0bc982d156081bec", "7275ccd93d7eecf4", "0405995aed36093b",
+            ],
+        }
+        for seed, digests in pinned.items():
+            got = [
+                _digest(serialize_instance(_bench_instance(seed, suite, i, case)))
+                for i, (suite, case) in enumerate(_BENCH_CASES)
+            ]
+            assert got == digests, seed
+
+
+def test_solver_import_leaves_fo_tooling_unloaded():
+    # The package exports nothing, so a module loads only what it imports.
+    script = (
+        "import sys, divset.solver, divset.vectors; "
+        "print(sorted(m for m in ('divset.fologic', 'divset.reductions') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestSharedParser:

@@ -4,23 +4,26 @@ import random
 
 import pytest
 
-from divset import (
-    ContractError,
-    Graph,
-    ParseError,
-    UnboundVariableError,
-    distance_graph,
+from divset.errors import ContractError, ParseError, UnboundVariableError
+from divset.fologic import (
+    Adjacent,
+    And,
+    Equal,
+    Exists,
+    ForAll,
+    Implies,
+    Not,
+    Or,
     embedding_transfer_report,
     evaluate,
     formula_size,
     free_variables,
-    hypercube_embedding,
     parse_formula,
     rewrite_sentence,
     to_text,
     vertex_classifier,
 )
-from divset.fologic import Adjacent, And, Equal, Exists, ForAll, Implies, Not, Or
+from divset.reductions import Graph, distance_graph, hypercube_embedding
 from test_acceptance import CORPUS
 
 K2 = Graph(2, ((1, 2),))

@@ -3,23 +3,21 @@ import random
 
 import pytest
 
-from divset import (
-    ContractError,
+from divset.errors import ContractError, ParseError
+from divset.reductions import (
     Graph,
-    ParseError,
-    PartialVector,
     distance_graph,
-    exhaustive_solve,
     has_independent_set,
     hypercube_embedding,
     independent_set_to_diversity,
     independent_set_to_r2,
-    known_distance,
     parse_graph,
     r2_equivalence_report,
     serialize_graph,
     subdivided_with_leaves,
 )
+from divset.solver import exhaustive_solve
+from divset.vectors import PartialVector, known_distance
 
 P3 = Graph(3, ((1, 2), (2, 3)))
 K2 = Graph(2, ((1, 2),))

@@ -4,31 +4,35 @@ import time
 
 import pytest
 
-from divset import (
-    ContractError,
-    Instance,
-    NotApplicableError,
-    OracleLimitError,
-    PartialVector,
-    Solution,
+from divset import solver
+from divset.errors import ContractError, NotApplicableError, OracleLimitError
+from divset.solver import (
+    DUPLICATE,
+    HEAVY,
+    PRUNED,
+    Removal,
+    SATURATION_CAP,
     Thresholds,
     brute_force,
     exhaustive_solve,
     find_prunable_row,
     greedy_attempt,
-    known_distance,
     lift_heavy_row,
-    neighborhood,
     neighborhood_bound,
     neighborhood_gate,
     row_signature,
     solve,
     strip_heavy_row,
     sunflower_target,
+)
+from divset.vectors import (
+    Instance,
+    PartialVector,
+    Solution,
+    known_distance,
+    neighborhood,
     verify_solution,
 )
-from divset import solver
-from divset.solver import DUPLICATE, HEAVY, PRUNED, Removal, SATURATION_CAP
 
 CAP = SATURATION_CAP
 

@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from divset import ContractError, SetFamily, Sunflower, find_sunflower
+from divset.errors import ContractError
+from divset.sunflowers import SetFamily, Sunflower, find_sunflower
 
 
 def check_is_sunflower(family: SetFamily, flower: Sunflower):

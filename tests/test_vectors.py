@@ -4,13 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from divset import (
-    DimensionMismatch,
+from divset.errors import DimensionMismatch, ParseError
+from divset.vectors import (
     Instance,
-    ParseError,
     PartialVector,
     Solution,
-    disagreement_set,
     known_distance,
     neighborhood,
     parse_instance,
@@ -112,28 +110,9 @@ class TestLengthChecks:
         report = verify_solution(inst, sol)
         assert report.failures == ("row 0: completed length 3, expected 2",)
 
-    def test_distance_and_disagreement_reject_other_lengths(self):
+    def test_distance_rejects_other_lengths(self):
         with pytest.raises(DimensionMismatch, match="vector length 2 vs 3"):
             known_distance(pv("0?"), pv("011"))
-        with pytest.raises(DimensionMismatch, match="vector length 0 vs 1"):
-            disagreement_set(pv(""), pv("?"))
-
-
-class TestDisagreementSet:
-    def test_basic(self):
-        assert disagreement_set(pv("10?"), pv("001")) == {1}
-
-    def test_two_coordinates(self):
-        assert disagreement_set(pv("00"), pv("11")) == {1, 2}
-
-    def test_empty(self):
-        assert disagreement_set(pv("?1"), pv("?1")) == frozenset()
-
-    @given(vector_texts, vector_texts)
-    def test_cardinality_matches_distance(self, ta, tb):
-        n = min(len(ta), len(tb))
-        a, b = pv(ta[:n]), pv(tb[:n])
-        assert len(disagreement_set(a, b)) == known_distance(a, b)
 
 
 class TestNeighborhood:
