@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hx.set_defaults(func=_cmd_fo)
 
     p_bench = sub.add_parser("bench", help="run the timing suites")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_decimal, default=0)
     p_bench.add_argument("--only", metavar="PATTERN", help="run only suites whose name contains PATTERN")
     p_bench.add_argument("--report", metavar="PATH", help="write a JSON report")
     p_bench.set_defaults(func=_cmd_bench)

@@ -10,8 +10,9 @@ date across removals.  When no row can be pruned, and below the gate, the
 exact search decides: a k-clique search over the bitset graph of row pairs
 that can still reach distance r+1, in lexicographic order, with completions
 tried in counting order and forward-checked.  It finds the same first
-(subset, completion) as a walk over all k-subsets.  A YES witness is lifted
-back through the removals and verified.
+(subset, completion) as a walk over all k-subsets.  These stages return only
+their picks; `lift`, one backward pass over the removals, turns a YES's picks
+into the witness for the original rows, which is verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -46,8 +47,8 @@ PRUNED = "pruned"
 class Removal:
     """One row taken out of the working instance.
 
-    `index` is the row's position at the moment of removal, so replaying the
-    trace backwards with plain insertions reconstructs the original order.
+    `index` is the row's position at the moment of removal, so `lift`,
+    replaying the trace backwards, shifts every later pick past it.
     """
 
     index: int
@@ -66,12 +67,15 @@ class SolveOutcome:
     decides alone).
     """
 
-    answer: bool
     witness: Solution | None
     trace: tuple[Removal, ...] = ()
     method: str = ""
     stage_seconds: tuple[tuple[str, float], ...] = ()
     stats: tuple[tuple[str, int | None], ...] = ()
+
+    @property
+    def answer(self) -> bool:
+        return self.witness is not None
 
 
 def _capped_series(limit: int, base: int) -> int:
@@ -179,23 +183,21 @@ def strip_heavy_row(instance: Instance) -> tuple[Instance, Removal] | None:
     return reduced, Removal(i, rows[i], HEAVY)
 
 
-def lift_heavy_row(reduced_solution: Solution, removal: Removal, r: int) -> Solution:
-    """Rebuild a witness after `strip_heavy_row`.
+def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) -> PartialVector:
+    """The completion of a row `strip_heavy_row` removed, which joins `picks`,
+    the reduced instance's picked rows by index.  `lift` adds it to the picks.
 
     Takes the (k-1)(r+1) lowest unknown coordinates of the removed row,
     splits them in index order into k-1 blocks of r+1, and fills block i with
-    the opposite of the i-th selected vector; every other unknown becomes 0.
-    The rebuilt row then disagrees with each selected vector on a full block,
-    so it joins the selection at distance >= r+1.  Linear time.
+    the opposite of the i-th picked row; every other unknown becomes 0.
+    The completed row then disagrees with each picked row on a full block,
+    so it joins them at distance >= r+1.  Linear time.
     """
-    order = sorted(reduced_solution.selected)
-    completed = list(reduced_solution.completed)
-    for idx in order:
-        if not completed[idx].is_complete:
-            raise ContractError("reduced witness contains an incomplete row")
-    for i, j in itertools.combinations(order, 2):
-        if known_distance(completed[i], completed[j]) < r + 1:
-            raise ContractError("reduced witness is not a valid diversity set")
+    order = [picks[i] for i in sorted(picks)]
+    if not all(s.is_complete for s in order):
+        raise ContractError("reduced witness contains an incomplete row")
+    if any(known_distance(s, t) < r + 1 for s, t in itertools.combinations(order, 2)):
+        raise ContractError("reduced witness is not a valid diversity set")
 
     v = removal.row
     need = len(order) * (r + 1)
@@ -203,32 +205,44 @@ def lift_heavy_row(reduced_solution: Solution, removal: Removal, r: int) -> Solu
     if len(unknown) < need:
         raise ContractError("removed row lacks the unknown coordinates the lift requires")
     bits = dict.fromkeys(unknown[need:], "0")
-    for i, sel in enumerate(order):
-        s = completed[sel]
+    for i, s in enumerate(order):
         for j in unknown[i * (r + 1) : (i + 1) * (r + 1)]:
             bits[j] = "1" if s.text[j] == "0" else "0"
     v_star = v.completed_with(bits)
 
-    for sel in order:
-        if known_distance(v_star, completed[sel]) < r + 1:
-            raise ContractError("lift construction failed to reach the distance bound")
-
-    completed.insert(removal.index, v_star)
-    selected = frozenset(
-        i if i < removal.index else i + 1 for i in reduced_solution.selected
-    ) | {removal.index}
-    return Solution(tuple(completed), selected)
+    if any(known_distance(v_star, s) < r + 1 for s in order):
+        raise ContractError("lift construction failed to reach the distance bound")
+    return v_star
 
 
-def greedy_attempt(instance: Instance) -> Solution | None:
+def lift(
+    instance: Instance, picks: dict[int, PartialVector], removals: Sequence[Removal]
+) -> Solution:
+    """The witness for `instance` from the picks made after `removals`, in one
+    backward pass: each removal, last first, shifts the picks at or after its
+    index up by one, and a heavy row's adds the row `lift_heavy_row`
+    completes.  Every row left unpicked completes to zeros."""
+    for removal in reversed(removals):
+        at = removal.index
+        lifted = {i if i < at else i + 1: row for i, row in picks.items()}
+        if removal.kind == HEAVY:
+            lifted[at] = lift_heavy_row(picks, removal, instance.r)
+        picks = lifted
+    completed = tuple(
+        picks[i] if i in picks else row.complete_zeros() for i, row in enumerate(instance.rows)
+    )
+    return Solution(completed, frozenset(picks))
+
+
+def greedy_attempt(instance: Instance) -> dict[int, PartialVector] | None:
     """k rounds of: keep the lowest-index surviving row, drop every row within
     known distance r of it.  Any success is a sound certificate (completions
     only grow distances); None means the heuristic ran out of rows.
 
     Reads the rows' `ones`/`zeros` masks only.  The distance is the one
     `known_distance` computes; its length check is left out because an
-    `Instance` already holds rows of one dimension.  On success every row
-    completes to zeros through `complete_zeros`.
+    `Instance` already holds rows of one dimension.  The picks complete to
+    zeros through `complete_zeros` (`{}` when k = 0); `lift` does the rest.
     """
     rows = instance.rows
     r = instance.r
@@ -243,8 +257,7 @@ def greedy_attempt(instance: Instance) -> Solution | None:
         picks.append(v)
         v_ones, v_zeros = ones[v], zeros[v]
         alive = [j for j in alive if ((v_ones & zeros[j]) | (v_zeros & ones[j])).bit_count() > r]
-    completed = tuple(row.complete_zeros() for row in rows)
-    return Solution(completed, frozenset(picks))
+    return {v: rows[v].complete_zeros() for v in picks}
 
 
 def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, int]]:
@@ -333,11 +346,12 @@ def _completion_masks(row: PartialVector) -> list[int]:
     return masks
 
 
-def brute_force(instance: Instance) -> SolveOutcome:
+def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     """Exact search: the first k-subset of rows, in lexicographic order, whose
     rows can be completed pairwise at distance >= r+1, with the first such
-    completion of that subset in counting order.  Rows outside the subset
-    complete to zeros.  Intended for instances below the row gate but
+    completion of that subset in counting order, as picks from row index to
+    completed row; None when no subset qualifies.  `lift` completes the rows
+    outside the subset.  Intended for instances below the row gate but
     callable on anything.
 
     Two rows are compatible when their guaranteed disagreements plus every
@@ -380,16 +394,9 @@ def brute_force(instance: Instance) -> SolveOutcome:
 
     for subset in _cliques(k, (1 << n) - 1, later_of):
         chosen = _assign([masks_of(i) for i in subset], need)
-        if chosen is None:
-            continue
-        lookup = dict(zip(subset, chosen))
-        completed = tuple(
-            PartialVector(_mask_text(lookup[i], d)) if i in lookup else rows[i].complete_zeros()
-            for i in range(n)
-        )
-        witness = Solution(completed, frozenset(subset))
-        return SolveOutcome(True, witness, (), "brute-force")
-    return SolveOutcome(False, None, (), "brute-force")
+        if chosen is not None:
+            return {i: PartialVector(_mask_text(mask, d)) for i, mask in zip(subset, chosen)}
+    return None
 
 
 def _cliques(size: int, cand: int, later_of) -> Iterator[list[int]]:
@@ -481,7 +488,7 @@ def exhaustive_solve(
             break
 
     if not accepted:
-        return SolveOutcome(False, None, (), "exhaustive")
+        return SolveOutcome(None, (), "exhaustive")
 
     if wildcard_free:
         best_profile, final_subset = accepted[0]
@@ -497,7 +504,7 @@ def exhaustive_solve(
         )
     completed = tuple(PartialVector(_mask_text(m, d)) for m in best_profile)
     witness = Solution(completed, frozenset(final_subset))
-    return SolveOutcome(True, witness, (), "exhaustive")
+    return SolveOutcome(witness, (), "exhaustive")
 
 
 def _first_valid_profile(
@@ -533,7 +540,7 @@ def _cap_duplicates(
 
 def _kernel(
     current: Instance, thresholds: Thresholds, events: list[Removal]
-) -> tuple[Solution | None, str]:
+) -> tuple[dict[int, PartialVector] | None, str]:
     """The kernel and exact stages; each pruned row is appended to `events`.
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The sizes
@@ -549,10 +556,10 @@ def _kernel(
             sizes = [len(neighborhood(current, i, r)) for i in range(current.n)]
         biggest = max(sizes)
         if biggest < thresholds.gate:
-            witness = greedy_attempt(current)
-            if witness is None:
+            picks = greedy_attempt(current)
+            if picks is None:
                 raise ContractError("greedy ran out of rows despite the size preconditions")
-            return witness, "greedy-bounded"
+            return picks, "greedy-bounded"
         f = find_prunable_row(current, sizes.index(biggest), thresholds)
         if f is None:
             break
@@ -563,7 +570,7 @@ def _kernel(
         for j, row in enumerate(current.rows):
             if known_distance(pruned, row) <= r:
                 sizes[j] -= 1
-    return brute_force(current).witness, "brute-force"
+    return brute_force(current), "brute-force"
 
 
 def solve(instance: Instance) -> SolveOutcome:
@@ -601,15 +608,7 @@ def solve(instance: Instance) -> SolveOutcome:
     stages.append(("decide", t2 - t1))
 
     if witness is not None:
-        completed, selected = list(witness.completed), witness.selected
-        for event in reversed(events):
-            if event.kind == HEAVY:
-                lifted = lift_heavy_row(Solution(completed, selected), event, r)
-                completed, selected = list(lifted.completed), lifted.selected
-            else:
-                completed.insert(event.index, event.row.complete_zeros())
-                selected = frozenset(i if i < event.index else i + 1 for i in selected)
-        witness = Solution(tuple(completed), selected)
+        witness = lift(instance, witness, events)
         t3 = perf_counter()
         stages.append(("lift", t3 - t2))
         report = verify_solution(instance, witness)
@@ -625,4 +624,4 @@ def solve(instance: Instance) -> SolveOutcome:
         ("k_reduced", k),
         ("kernel_rows", kernel_rows),
     )
-    return SolveOutcome(witness is not None, witness, tuple(events), method, tuple(stages), stats)
+    return SolveOutcome(witness, tuple(events), method, tuple(stages), stats)

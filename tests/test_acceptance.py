@@ -38,7 +38,7 @@ from divset.solver import (
     Thresholds,
     exhaustive_solve,
     find_prunable_row,
-    lift_heavy_row,
+    lift,
     neighborhood_bound,
     neighborhood_gate,
     solve,
@@ -132,7 +132,8 @@ def test_criterion_03_heavy_row_invariance():
         after = exhaustive_solve(reduced)
         assert before.answer == after.answer
         if after.answer:
-            lifted = lift_heavy_row(after.witness, removal, instance.r)
+            picks = {i: after.witness.completed[i] for i in after.witness.selected}
+            lifted = lift(instance, picks, (removal,))
             assert verify_solution(instance, lifted).ok
             lifted_checks += 1
     assert qualified > 0

@@ -440,6 +440,16 @@ class TestBench:
         assert stats[0] == stats[1]
         assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]
 
+    @pytest.mark.parametrize("seed", ["1_0", "\u0667", "-3"])
+    def test_seed_takes_ascii_decimals_only(self, capsys, seed):
+        # `int` would read these as 10, 7 and -3.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--only", "nonexistent-suite", "--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: invalid _decimal value: {seed!r}" in captured.err
+
     def test_instance_digests_pinned(self):
         # Every bench case's instance digest for seeds 0 and 7, without
         # solving.  Seed 0's list is the one committed in BENCH_4.json and

@@ -17,6 +17,7 @@ from divset.solver import (
     exhaustive_solve,
     find_prunable_row,
     greedy_attempt,
+    lift,
     lift_heavy_row,
     neighborhood_bound,
     neighborhood_gate,
@@ -107,20 +108,21 @@ class TestHeavyRows:
         assert strip_heavy_row(inst(["0?", "11"], 2, 1)) is None
 
     def test_lift_opposes_each_selected_vector(self):
-        reduced_solution = Solution((PartialVector("0000"),), frozenset({0}))
+        picks = {0: PartialVector("0000")}
         removal = Removal(0, PartialVector("???0"), HEAVY)
-        lifted = lift_heavy_row(reduced_solution, removal, r=1)
+        assert lift_heavy_row(picks, removal, r=1).text == "1100"
+        lifted = lift(inst(["???0", "0000"], 2, 1), picks, (removal,))
         assert lifted.completed[0].text == "1100"
         assert lifted.selected == {0, 1}
 
     def test_lift_to_k1(self):
         removal = Removal(0, PartialVector("??"), HEAVY)
-        lifted = lift_heavy_row(Solution((), frozenset()), removal, r=3)
+        lifted = lift(inst(["??"], 1, 3), {}, (removal,))
         assert lifted.completed[0].text == "00"
         assert lifted.selected == {0}
 
     def test_lift_rejects_broken_witness(self):
-        bad = Solution((PartialVector("00"), PartialVector("01")), frozenset({0, 1}))
+        bad = {0: PartialVector("00"), 1: PartialVector("01")}
         with pytest.raises(ContractError):
             lift_heavy_row(bad, Removal(0, PartialVector("??"), HEAVY), r=1)
 
@@ -142,7 +144,8 @@ class TestHeavyRows:
             after = exhaustive_solve(reduced)
             assert before.answer == after.answer
             if after.answer:
-                lifted = lift_heavy_row(after.witness, removal, r)
+                picks = {i: after.witness.completed[i] for i in after.witness.selected}
+                lifted = lift(original, picks, (removal,))
                 assert verify_solution(original, lifted).ok
                 hits += 1
         assert hits > 10
@@ -150,12 +153,12 @@ class TestHeavyRows:
 
 class TestGreedy:
     def test_picks_lowest_indices(self):
-        solution = greedy_attempt(inst(["000", "011", "101", "110"], 2, 1))
-        assert solution.selected == {0, 1}
+        picks = greedy_attempt(inst(["000", "011", "101", "110"], 2, 1))
+        assert picks.keys() == {0, 1}
         assert exhaustive_solve(inst(["000", "011", "101", "110"], 2, 1)).answer
 
     def test_zero_k(self):
-        assert greedy_attempt(inst(["01"], 0, 1)).selected == frozenset()
+        assert greedy_attempt(inst(["01"], 0, 1)) == {}
 
     def test_failure_returns_none(self):
         assert greedy_attempt(inst(["00", "01"], 2, 1)) is None
@@ -179,9 +182,10 @@ class TestGreedy:
                 seen["no"] += 1
                 continue
             picks, texts = expected
-            assert got.selected == frozenset(picks)
-            assert [row.text for row in got.completed] == texts
-            assert verify_solution(instance, got).ok
+            witness = lift(instance, got, ())
+            assert witness.selected == frozenset(picks)
+            assert [row.text for row in witness.completed] == texts
+            assert verify_solution(instance, witness).ok
             seen["yes"] += 1
             seen["k=0"] += k == 0
             seen["n=0"] += n == 0
@@ -285,16 +289,16 @@ class TestPruning:
 
 class TestBruteForce:
     def test_no_when_distance_unreachable(self):
-        assert not brute_force(inst(["00", "01"], 2, 1)).answer
+        assert brute_force(inst(["00", "01"], 2, 1)) is None
 
     def test_wildcard_completion_found(self):
-        outcome = brute_force(inst(["0?", "11"], 2, 1))
-        assert outcome.answer
-        assert [v.text for v in outcome.witness.completed] == ["00", "11"]
+        instance = inst(["0?", "11"], 2, 1)
+        picks = brute_force(instance)
+        assert picks is not None
+        assert [v.text for v in lift(instance, picks, ()).completed] == ["00", "11"]
 
     def test_empty_instance_k0(self):
-        outcome = brute_force(Instance((), 0, 5, 0))
-        assert outcome.answer and outcome.witness.selected == frozenset()
+        assert brute_force(Instance((), 0, 5, 0)) == {}
 
     @staticmethod
     def reference(instance):
@@ -339,13 +343,13 @@ class TestBruteForce:
                 for _ in range(n)
             ]
             instance = inst(rows, k, r, d)
-            outcome = brute_force(instance)
+            picks = brute_force(instance)
             expected = self.reference(instance)
-            assert outcome.answer == (expected is not None), rows
+            assert (picks is not None) == (expected is not None), rows
             if expected is not None:
-                witness = outcome.witness
+                witness = lift(instance, picks, ())
                 assert ([v.text for v in witness.completed], sorted(witness.selected)) == expected
-            kinds["yes" if outcome.answer else "no"] += 1
+            kinds["yes" if picks is not None else "no"] += 1
             kinds["k=0"] += k == 0
             kinds["k>n"] += k > n
             kinds["n=0"] += n == 0
