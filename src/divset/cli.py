@@ -41,7 +41,7 @@ from .solver import exhaustive_solve, solve
 from .vectors import (
     Instance,
     PartialVector,
-    _decimal,
+    ascii_decimal,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="build instances/matrices from a graph")
     p_gen.add_argument("kind", choices=("is-w1", "is-r2", "embed"))
     p_gen.add_argument("graph")
-    p_gen.add_argument("-k", type=_decimal, help="independent-set size (is-w1 / is-r2)")
+    p_gen.add_argument("-k", type=ascii_decimal, help="independent-set size (is-w1 / is-r2)")
     p_gen.add_argument(
         "--disjoint-pairs",
         action="store_true",
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hx.set_defaults(func=_cmd_fo)
 
     p_bench = sub.add_parser("bench", help="run the timing suites")
-    p_bench.add_argument("--seed", type=_decimal, default=0)
+    p_bench.add_argument("--seed", type=ascii_decimal, default=0)
     p_bench.add_argument("--only", metavar="PATTERN", help="run only suites whose name contains PATTERN")
     p_bench.add_argument("--report", metavar="PATH", help="write a JSON report")
     p_bench.set_defaults(func=_cmd_bench)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import ContractError, ParseError
 from .solver import exhaustive_solve
 from .vectors import Instance, PartialVector, known_distance
-from .vectors import _decimal, _effective_lines
+from .vectors import ascii_decimal, content_lines
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ def parse_graph(text: str) -> Graph:
     every number in ASCII decimals."""
     n = m = None
     edges: list[tuple[int, int]] = []
-    for num, line in _effective_lines(text):
+    for num, line in content_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 2:
                 raise ParseError(f"expected header 'n m', got {line!r}", num)
             try:
-                n, m = _decimal(parts[0]), _decimal(parts[1])
+                n, m = ascii_decimal(parts[0]), ascii_decimal(parts[1])
             except ValueError:
                 raise ParseError(
                     f"header values must be ASCII decimals, got {line!r}", num
@@ -76,7 +76,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected edge 'u v', got {line!r}", num)
         try:
-            u, v = _decimal(parts[0]), _decimal(parts[1])
+            u, v = ascii_decimal(parts[0]), ascii_decimal(parts[1])
         except ValueError:
             raise ParseError(f"endpoints must be ASCII decimals, got {line!r}", num) from None
         if not u < v:

@@ -1,12 +1,13 @@
 """Exact decision procedure for the diversity-completion problem.
 
-`solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  Reduce
-caps duplicate rows at k copies and strips rows with more than (k-1)(r+1)
-unknowns, decrementing k.  A cheap greedy pass looks for a certificate.  While
-at least k * gate rows remain, the kernel answers with the guaranteed greedy
-once every neighborhood is sparse, or prunes a row whose removal a sunflower
-argument shows preserves the answer; it keeps the neighborhood sizes up to
-date across removals.  When no row can be pruned, and below the gate, the
+`solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  `reduce`
+is the one place the two reduction rules run: it caps duplicate rows at k
+copies and strips rows with more than (k-1)(r+1) unknowns, decrementing k.
+A cheap greedy pass looks for a certificate.  While at least k * gate rows
+remain, the kernel answers with the guaranteed greedy once every
+neighborhood is sparse, or prunes a row whose removal a sunflower argument
+shows preserves the answer; it keeps the neighborhood sizes up to date
+across removals.  When no row can be pruned, and below the gate, the
 exact search decides: a k-clique search over the bitset graph of row pairs
 that can still reach distance r+1, in lexicographic order, with completions
 tried in counting order and forward-checked.  It finds the same first
@@ -159,11 +160,31 @@ class Thresholds:
         return cls(neighborhood_gate(k, r), sunflower_target(k, r))
 
 
+def _cap_duplicates(
+    rows: list[PartialVector], k: int
+) -> tuple[list[PartialVector], list[Removal]]:
+    """Keep only the first k copies of each identical row.
+
+    Sound at any k: a diversity set uses at most k rows in total, and copies
+    of an identical partial row are interchangeable.
+    """
+    kept: list[PartialVector] = []
+    events: list[Removal] = []
+    counts: dict[str, int] = {}
+    for row in rows:
+        text = row.text
+        seen = counts.get(text, 0)
+        if seen < k:
+            counts[text] = seen + 1
+            kept.append(row)
+        else:
+            events.append(Removal(len(kept), row, DUPLICATE))
+    return kept, events
+
+
 def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
     """Index of the lowest row holding more than (k-1)(r+1) unknowns, or None
-    when no row qualifies (or k = 0)."""
-    if k < 1:
-        return None
+    when no row qualifies.  At k = 0 every row qualifies."""
     budget = (k - 1) * (r + 1)
     for i, row in enumerate(rows):
         if row.unknown_count > budget:
@@ -171,20 +192,25 @@ def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
     return None
 
 
-def strip_heavy_row(instance: Instance) -> tuple[Instance, Removal] | None:
-    """Remove the lowest-index row holding more than (k-1)(r+1) unknowns and
-    decrement k; answers are equivalent and the removal lifts constructively.
-    Returns None when no row qualifies (or k = 0)."""
-    i = _heavy_row(instance.rows, instance.k, instance.r)
-    if i is None:
-        return None
-    rows = instance.rows
-    reduced = Instance(rows[:i] + rows[i + 1 :], instance.k - 1, instance.r, instance.d)
-    return reduced, Removal(i, rows[i], HEAVY)
+def reduce(instance: Instance) -> tuple[Instance, list[Removal]]:
+    """The reduction rules, each keeping the answer: cap identical rows at k
+    copies; while k > 0, remove the lowest row with more than (k-1)(r+1)
+    unknowns and decrement k; then cap again at the lowered k.  Returns the
+    reduced instance and the removals, in order, for `lift` to replay."""
+    k, r = instance.k, instance.r
+    rows, removals = _cap_duplicates(list(instance.rows), k)
+    while k > 0 and (i := _heavy_row(rows, k, r)) is not None:
+        removals.append(Removal(i, rows.pop(i), HEAVY))
+        k -= 1
+    if k < instance.k:
+        # k dropped, so the duplicate cap must tighten to the new k as well.
+        rows, dup_removals = _cap_duplicates(rows, k)
+        removals.extend(dup_removals)
+    return Instance(tuple(rows), k, r, instance.d), removals
 
 
 def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) -> PartialVector:
-    """The completion of a row `strip_heavy_row` removed, which joins `picks`,
+    """The completion of a heavy row `reduce` removed, which joins `picks`,
     the reduced instance's picked rows by index.  `lift` adds it to the picks.
 
     Takes the (k-1)(r+1) lowest unknown coordinates of the removed row,
@@ -295,10 +321,9 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     """
     k, r = instance.k, instance.r
     rows = instance.rows
-    budget = (k - 1) * (r + 1)
-    for i, row in enumerate(rows):
-        if row.unknown_count > budget:
-            raise NotApplicableError(f"row {i} carries more than {budget} unknowns")
+    heavy = _heavy_row(rows, k, r)
+    if heavy is not None:
+        raise NotApplicableError(f"row {heavy} carries more than {(k - 1) * (r + 1)} unknowns")
     near = neighborhood(instance, v_index, r)
     if len(near) < thresholds.gate:
         raise NotApplicableError(f"neighborhood size {len(near)} below gate {thresholds.gate}")
@@ -516,28 +541,6 @@ def _first_valid_profile(
     return None
 
 
-def _cap_duplicates(
-    rows: list[PartialVector], k: int
-) -> tuple[list[PartialVector], list[Removal]]:
-    """Keep only the first k copies of each identical row.
-
-    Sound at any k: a diversity set uses at most k rows in total, and copies
-    of an identical partial row are interchangeable.
-    """
-    kept: list[PartialVector] = []
-    events: list[Removal] = []
-    counts: dict[str, int] = {}
-    for row in rows:
-        text = row.text
-        seen = counts.get(text, 0)
-        if seen < k:
-            counts[text] = seen + 1
-            kept.append(row)
-        else:
-            events.append(Removal(len(kept), row, DUPLICATE))
-    return kept, events
-
-
 def _kernel(
     current: Instance, thresholds: Thresholds, events: list[Removal]
 ) -> tuple[dict[int, PartialVector] | None, str]:
@@ -579,36 +582,27 @@ def solve(instance: Instance) -> SolveOutcome:
     stages: list[tuple[str, float]] = []
     t0 = perf_counter()
 
-    # Reduce works on a list of the input's rows, which `instance` has already
-    # checked, so one Instance is built when it ends.
-    k, r = instance.k, instance.r
-    rows, events = _cap_duplicates(list(instance.rows), k)
-    while (i := _heavy_row(rows, k, r)) is not None:
-        events.append(Removal(i, rows.pop(i), HEAVY))
-        k -= 1
-    if k < instance.k:
-        # k dropped, so the duplicate cap must tighten to the new k as well.
-        rows, dup_events = _cap_duplicates(rows, k)
-        events.extend(dup_events)
-    current = Instance(tuple(rows), k, r, instance.d)
+    current, events = reduce(instance)
+    k, r = current.k, current.r
     t1 = perf_counter()
     stages.append(("reduce", t1 - t0))
 
     kernel_rows = None
     if k < 2:
         # At most one row to pick, so the greedy pass is already exact.
-        witness, method = greedy_attempt(current), "shortcut"
+        picks, method = greedy_attempt(current), "shortcut"
     else:
         thresholds = Thresholds.for_parameters(k, r)
         kernel_rows = min(k * thresholds.gate, SATURATION_CAP)
-        witness, method = greedy_attempt(current), "greedy"
-        if witness is None:
-            witness, method = _kernel(current, thresholds, events)
+        picks, method = greedy_attempt(current), "greedy"
+        if picks is None:
+            picks, method = _kernel(current, thresholds, events)
     t2 = perf_counter()
     stages.append(("decide", t2 - t1))
 
-    if witness is not None:
-        witness = lift(instance, witness, events)
+    witness = None
+    if picks is not None:
+        witness = lift(instance, picks, events)
         t3 = perf_counter()
         stages.append(("lift", t3 - t2))
         report = verify_solution(instance, witness)

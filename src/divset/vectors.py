@@ -220,16 +220,19 @@ def verify_solution(instance: Instance, solution: Solution) -> VerificationRepor
     return VerificationReport(tuple(failures))
 
 
-def _effective_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping blanks and '#' comments."""
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line), skipping blanks and '#'
+    comments.  Lines end at a newline only, and only ASCII spaces, tabs, CR,
+    FF and VT are stripped: any other separator or space (U+001C, U+2028,
+    a no-break space) stays in the line, so a row holding one is rejected."""
+    for num, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(" \t\r\f\v")
         if not line or line.startswith("#"):
             continue
         yield num, line
 
 
-def _decimal(token: str) -> int:
+def ascii_decimal(token: str) -> int:
     """The value of a run of ASCII digits.  ValueError for anything else,
     including the signs, underscores and non-ASCII digits `int` accepts."""
     if not (token.isascii() and token.isdigit()):
@@ -247,13 +250,13 @@ def parse_instance(text: str) -> Instance:
     """
     d = k = r = None
     rows: list[PartialVector] = []
-    for num, line in _effective_lines(text):
+    for num, line in content_lines(text):
         if d is None:
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"expected header 'd k r', got {line!r}", num)
             try:
-                d, k, r = (_decimal(p) for p in parts)
+                d, k, r = (ascii_decimal(p) for p in parts)
             except ValueError:
                 raise ParseError(
                     f"header values must be ASCII decimals, got {line!r}", num
@@ -286,7 +289,7 @@ def parse_solution(text: str) -> Solution | None:
     verdict = None
     rows: list[PartialVector] = []
     selected: frozenset[int] | None = None
-    for num, line in _effective_lines(text):
+    for num, line in content_lines(text):
         if verdict is None:
             if line not in ("YES", "NO"):
                 raise ParseError(f"expected 'YES' or 'NO', got {line!r}", num)
@@ -298,7 +301,7 @@ def parse_solution(text: str) -> Solution | None:
             raise ParseError("unexpected content after the selection line", num)
         if line.startswith("S:"):
             try:
-                indices = [_decimal(p) for p in line[2:].split()]
+                indices = [ascii_decimal(p) for p in line[2:].split()]
             except ValueError:
                 raise ParseError(f"bad selection line {line!r}", num) from None
             selected = frozenset(indices)

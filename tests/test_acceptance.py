@@ -41,8 +41,8 @@ from divset.solver import (
     lift,
     neighborhood_bound,
     neighborhood_gate,
+    reduce,
     solve,
-    strip_heavy_row,
 )
 from divset.sunflowers import SetFamily, find_sunflower
 from divset.vectors import Instance, PartialVector, known_distance, verify_solution
@@ -123,17 +123,16 @@ def test_criterion_03_heavy_row_invariance():
     qualified = 0
     lifted_checks = 0
     for instance in _suite2_instances():
-        stripped = strip_heavy_row(instance)
-        if stripped is None:
-            continue
+        reduced, removals = reduce(instance)
+        if reduced.k == instance.k:
+            continue  # no heavy row was stripped
         qualified += 1
-        reduced, removal = stripped
         before = exhaustive_solve(instance)
         after = exhaustive_solve(reduced)
         assert before.answer == after.answer
         if after.answer:
             picks = {i: after.witness.completed[i] for i in after.witness.selected}
-            lifted = lift(instance, picks, (removal,))
+            lifted = lift(instance, picks, removals)
             assert verify_solution(instance, lifted).ok
             lifted_checks += 1
     assert qualified > 0

@@ -71,6 +71,19 @@ class TestSolve:
         assert main(["solve", bad]) == 2
         assert "ASCII decimals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("separator", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_separator_inside_a_row_exit_two(self, tmp_path, capsys, separator):
+        # str.splitlines would read rows 0 and 1 here, and the answer YES.
+        bad = write(tmp_path / "bad.inst", f"1 2 0\n0{separator}1\n")
+        assert main(["solve", bad]) == 2
+        assert capsys.readouterr().err == "error: line 2: row has 3 characters, expected 1\n"
+
+    def test_no_break_spaces_around_a_row_exit_two(self, tmp_path, capsys):
+        # str.strip would read the row as 0?1.
+        bad = write(tmp_path / "bad.inst", "3 1 0\n\u00a00?1\u00a0\n")
+        assert main(["solve", bad]) == 2
+        assert capsys.readouterr().err == "error: line 2: row has 5 characters, expected 3\n"
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["solve", "/nonexistent/file"]) == 2
 
@@ -168,6 +181,15 @@ class TestVerify:
         sol = write(tmp_path / "i.sol", f"YES\n010\n111\n{line}\n")
         assert main(["verify", inst, sol]) == 2
 
+    @pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
+    def test_separator_inside_a_completed_row_exit_two(self, tmp_path, capsys, separator):
+        # str.splitlines would read rows 0 and 1 here, and the check PASS.
+        inst = write(tmp_path / "i.inst", "1 2 0\n0\n1\n")
+        sol = write(tmp_path / "i.sol", f"YES\n0{separator}1\nS: 0 1\n")
+        assert main(["verify", inst, sol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: completed row must use only 0/1"), err
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         # The last two files parse and fail the check: exit 1, one FAIL line.
         cases = (
@@ -228,7 +250,7 @@ class TestGenerate:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument -k: invalid _decimal value: {k!r}" in captured.err
+        assert f"argument -k: invalid ascii_decimal value: {k!r}" in captured.err
 
 
 class TestFo:
@@ -448,7 +470,7 @@ class TestBench:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --seed: invalid _decimal value: {seed!r}" in captured.err
+        assert f"argument --seed: invalid ascii_decimal value: {seed!r}" in captured.err
 
     def test_instance_digests_pinned(self):
         # Every bench case's instance digest for seeds 0 and 7, without

@@ -11,10 +11,20 @@ updates `CORPUS_DIGEST` and says which outputs moved and why.
 
 import hashlib
 import random
+from collections import Counter
 
 from divset import solver
 from divset.errors import OracleLimitError
-from divset.solver import DUPLICATE, HEAVY, PRUNED, brute_force, exhaustive_solve, lift, solve
+from divset.solver import (
+    DUPLICATE,
+    HEAVY,
+    PRUNED,
+    brute_force,
+    exhaustive_solve,
+    lift,
+    reduce,
+    solve,
+)
 from divset.vectors import Instance, serialize_instance, serialize_solution
 
 SEED = 20240714
@@ -125,6 +135,13 @@ def corpus():
         yield Instance.from_texts(rows, k, r, d), gates
 
 
+def _set_gates(patch, gates):
+    if gates is not None:
+        gate, target = gates
+        patch.setattr(solver, "neighborhood_gate", lambda k, r: gate)
+        patch.setattr(solver, "sunflower_target", lambda k, r: target)
+
+
 def _record(instance):
     outcome = solve(instance)
     picks = brute_force(instance)
@@ -152,10 +169,7 @@ def test_corpus_outputs_pinned(monkeypatch):
     )
     for instance, gates in corpus():
         with monkeypatch.context() as patch:
-            if gates is not None:
-                gate, target = gates
-                patch.setattr(solver, "neighborhood_gate", lambda k, r: gate)
-                patch.setattr(solver, "sunflower_target", lambda k, r: target)
+            _set_gates(patch, gates)
             record = _record(instance)
         digest.update(repr(record).encode() + b"\n")
         answer = "no" if record[1] == "NO\n" else "yes"
@@ -167,3 +181,35 @@ def test_corpus_outputs_pinned(monkeypatch):
             seen[kind] += 1
     assert min(seen.values()) >= 20, seen
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def _duplicates_and_heavy_rows():
+    """Seeded instances built from copies of a few base rows of random
+    density, so most carry both duplicates and heavy rows."""
+    rng = random.Random(SEED + 1)
+    for _ in range(500):
+        d = rng.randint(1, 8)
+        bases = [_random_row(rng, d, rng.random()) for _ in range(rng.randint(1, 4))]
+        rows = [rng.choice(bases) for _ in range(rng.randint(0, 12))]
+        yield Instance.from_texts(rows, rng.randint(0, 5), rng.randint(0, 3), d), None
+
+
+def test_reduce_is_what_solve_runs(monkeypatch):
+    """`reduce` leaves no row over (k-1)(r+1) unknowns when k > 0 and no row
+    text more than k times, and `solve`'s trace begins with exactly its
+    removals; every later removal is the kernel's."""
+    stripped = capped = 0
+    for instance, gates in (*corpus(), *_duplicates_and_heavy_rows()):
+        reduced, removals = reduce(instance)
+        k, r = reduced.k, reduced.r
+        if k > 0:
+            assert all(row.unknown_count <= (k - 1) * (r + 1) for row in reduced.rows)
+        assert all(count <= k for count in Counter(row.text for row in reduced.rows).values())
+        with monkeypatch.context() as patch:
+            _set_gates(patch, gates)
+            trace = solve(instance).trace
+        assert trace[: len(removals)] == tuple(removals)
+        assert all(removal.kind == PRUNED for removal in trace[len(removals) :])
+        stripped += k < instance.k
+        capped += any(removal.kind == DUPLICATE for removal in removals)
+    assert stripped >= 100 and capped >= 100, (stripped, capped)

@@ -21,9 +21,9 @@ from divset.solver import (
     lift_heavy_row,
     neighborhood_bound,
     neighborhood_gate,
+    reduce,
     row_signature,
     solve,
-    strip_heavy_row,
     sunflower_target,
 )
 from divset.vectors import (
@@ -95,17 +95,20 @@ class TestThresholds:
 
 class TestHeavyRows:
     def test_removes_heavy_row(self):
-        reduced, removal = strip_heavy_row(inst(["????0", "00000"], 2, 1))
+        reduced, [removal] = reduce(inst(["????0", "00000"], 2, 1))
         assert removal.index == 0 and removal.row.text == "????0"
+        assert removal.kind == HEAVY
         assert reduced.k == 1
         assert [r.text for r in reduced.rows] == ["00000"]
 
     def test_k1_any_wildcard_qualifies(self):
-        reduced, removal = strip_heavy_row(inst(["0?0"], 1, 2))
+        reduced, [removal] = reduce(inst(["0?0"], 1, 2))
         assert reduced.k == 0 and removal.row.text == "0?0"
+        assert removal.kind == HEAVY
 
     def test_not_applicable(self):
-        assert strip_heavy_row(inst(["0?", "11"], 2, 1)) is None
+        instance = inst(["0?", "11"], 2, 1)
+        assert reduce(instance) == (instance, [])
 
     def test_lift_opposes_each_selected_vector(self):
         picks = {0: PartialVector("0000")}
@@ -136,16 +139,15 @@ class TestHeavyRows:
                 "".join(rng.choice("01??") for _ in range(d)) for _ in range(n)
             ]
             original = inst(rows, k, r, d)
-            stripped = strip_heavy_row(original)
-            if stripped is None:
-                continue
-            reduced, removal = stripped
+            reduced, removals = reduce(original)
+            if reduced.k == original.k:
+                continue  # no heavy row was stripped
             before = exhaustive_solve(original)
             after = exhaustive_solve(reduced)
             assert before.answer == after.answer
             if after.answer:
                 picks = {i: after.witness.completed[i] for i in after.witness.selected}
-                lifted = lift(original, picks, (removal,))
+                lifted = lift(original, picks, removals)
                 assert verify_solution(original, lifted).ok
                 hits += 1
         assert hits > 10
