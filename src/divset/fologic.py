@@ -14,10 +14,12 @@ Concrete syntax:
           | "(" phi "&" phi ")" | "(" phi "|" phi ")" | "(" phi "->" phi ")"
           | "exists " var ". " phi | "forall " var ". " phi
 
-Variables match [a-z][a-z0-9]*; "exists" and "forall" are reserved.  The
-parser additionally accepts redundant grouping parentheses; the serializer
-emits the canonical minimal form.  Nesting deeper than 500 levels is a
-ParseError; a rewrite nesting deeper than 800 is a ContractError.
+Variables match [a-z][a-z0-9]*; "exists" and "forall" are reserved.  Tokens
+are separated by runs of spaces, tabs, CR, FF, VT and newlines; any other
+whitespace is a ParseError.  The parser additionally accepts redundant
+grouping parentheses; the serializer emits the canonical minimal form.
+Nesting deeper than 500 levels is a ParseError; a rewrite nesting deeper
+than 800 is a ContractError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Union
 
 from .errors import ContractError, ParseError, UnboundVariableError
 from .reductions import Graph, distance_graph, hypercube_embedding
+from .vectors import BLANKS
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,7 @@ class ForAll:
 Formula = Union[Adjacent, Equal, Not, And, Or, Implies, Exists, ForAll]
 
 _BINARY = {And: "&", Or: "|", Implies: "->"}
+_CONNECTIVES = {op: cls for cls, op in _BINARY.items()}
 _KEYWORDS = ("exists", "forall")
 
 
@@ -139,22 +143,19 @@ _MAX_DEPTH = 500
 # (L=397) leaves room for about 180 caller frames, a test runner's among them.
 _MAX_REWRITE_DEPTH = 800
 
-_TOKEN = re.compile(r"->|[()~&|=.,]|E(?![a-z0-9])|[a-z][a-z0-9]*")
+# Blanks and newlines, a token, or a character that starts no token.
+_TOKEN = re.compile(rf"[{BLANKS}\n]+|(->|[()~&|=.,]|E(?![a-z0-9])|[a-z][a-z0-9]*)|(.)", re.S)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            match = _TOKEN.match(text, pos)
-            if match is None:
-                raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-            self.tokens.append((match.group(), pos))
-            pos = match.end()
+        for match in _TOKEN.finditer(text):
+            token, stray = match.groups()
+            if stray is not None:
+                raise ParseError(f"unexpected character {stray!r} at position {match.start()}")
+            if token is not None:
+                self.tokens.append((token, match.start()))
         self.cursor = 0
 
     def peek(self) -> str | None:
@@ -206,16 +207,12 @@ class _Parser:
                 return left
             if op is None:
                 raise ParseError("unexpected end of formula, expected a connective")
-            if op not in ("&", "|", "->"):
+            if op not in _CONNECTIVES:
                 raise ParseError(f"expected a connective, got {op!r}")
             self.take()
             right = self.formula(depth + 1)
             self.take(")")
-            if op == "&":
-                return And(left, right)
-            if op == "|":
-                return Or(left, right)
-            return Implies(left, right)
+            return _CONNECTIVES[op](left, right)
         if token == "E":
             self.take()
             self.take("(")
@@ -240,9 +237,7 @@ def parse_formula(text: str, *, require_sentence: bool = True) -> Formula:
     if require_sentence:
         free = free_variables(phi)
         if free:
-            raise UnboundVariableError(
-                "unbound variable(s): " + ", ".join(sorted(free))
-            )
+            raise UnboundVariableError("unbound variable(s): " + ", ".join(sorted(free)))
     return phi
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import ContractError, ParseError
 from .solver import exhaustive_solve
 from .vectors import Instance, PartialVector, known_distance
-from .vectors import ascii_decimal, content_lines
+from .vectors import content_lines, read_decimals, read_header
 
 
 @dataclass(frozen=True)
@@ -59,31 +59,14 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Read the graph format: an 'n m' header, then m lines 'u v' with u < v,
     every number in ASCII decimals."""
-    n = m = None
+    lines = content_lines(text)
+    n, m = read_header(lines, "n m")
     edges: list[tuple[int, int]] = []
-    for num, line in content_lines(text):
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2:
-                raise ParseError(f"expected header 'n m', got {line!r}", num)
-            try:
-                n, m = ascii_decimal(parts[0]), ascii_decimal(parts[1])
-            except ValueError:
-                raise ParseError(
-                    f"header values must be ASCII decimals, got {line!r}", num
-                ) from None
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"expected edge 'u v', got {line!r}", num)
-        try:
-            u, v = ascii_decimal(parts[0]), ascii_decimal(parts[1])
-        except ValueError:
-            raise ParseError(f"endpoints must be ASCII decimals, got {line!r}", num) from None
+    for num, line in lines:
+        u, v = read_decimals(line, num, "edge", "u v", "endpoints")
         if not u < v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", num)
         edges.append((u, v))
-    if n is None:
-        raise ParseError("missing 'n m' header")
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
     try:

@@ -393,8 +393,7 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     k, r, d = instance.k, instance.r, instance.d
     rows, n = instance.rows, instance.n
     need = r + 1
-    full = (1 << d) - 1
-    unknown_masks = [full ^ (row.ones | row.zeros) for row in rows]
+    unknown_masks = [((1 << row.d) - 1) ^ (row.ones | row.zeros) for row in rows]
     later: dict[int, int] = {}
     completions: dict[int, list[int]] = {}
 

@@ -9,6 +9,7 @@ are reported 1-based in human-facing output, row indices 0-based.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -220,13 +221,17 @@ def verify_solution(instance: Instance, solution: Solution) -> VerificationRepor
     return VerificationReport(tuple(failures))
 
 
+BLANKS = " \t\r\f\v"  # separate the tokens of a line, stripped from its ends
+_FIELD = re.compile(f"[^{BLANKS}]+")
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, stripped line), skipping blanks and '#'
-    comments.  Lines end at a newline only, and only ASCII spaces, tabs, CR,
-    FF and VT are stripped: any other separator or space (U+001C, U+2028,
-    a no-break space) stays in the line, so a row holding one is rejected."""
+    comments.  Lines end at a newline only, and only the `BLANKS` are
+    stripped: any other separator or space (U+001C, U+2028, a no-break
+    space) stays in the line, so a row holding one is rejected."""
     for num, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip(" \t\r\f\v")
+        line = raw.strip(BLANKS)
         if not line or line.startswith("#"):
             continue
         yield num, line
@@ -240,6 +245,36 @@ def ascii_decimal(token: str) -> int:
     return int(token)
 
 
+def _decimal_fields(text: str) -> list[int | None]:
+    """The tokens of `text` read as ASCII decimals; None stands for a token
+    that is not one, including more digits than `int` converts."""
+    values: list[int | None] = []
+    for token in _FIELD.findall(text):
+        try:
+            values.append(ascii_decimal(token))
+        except ValueError:
+            values.append(None)
+    return values
+
+
+def read_decimals(line: str, num: int, kind: str, names: str, values: str) -> list[int]:
+    """Content line `num` as one ASCII decimal per word of `names`, else a ParseError
+    "expected {kind} '{names}'" or "{values} must be ASCII decimals"."""
+    numbers = _decimal_fields(line)
+    if len(numbers) != len(names.split(" ")):
+        raise ParseError(f"expected {kind} '{names}', got {line!r}", num)
+    if None in numbers:
+        raise ParseError(f"{values} must be ASCII decimals, got {line!r}", num)
+    return numbers
+
+
+def read_header(lines: Iterator[tuple[int, str]], names: str) -> list[int]:
+    """The first of the content lines, read as a header naming `names`."""
+    for num, line in lines:
+        return read_decimals(line, num, "header", names, "header values")
+    raise ParseError(f"missing '{names}' header")
+
+
 def parse_instance(text: str) -> Instance:
     """Read the instance format: a 'd k r' header line of ASCII decimals,
     then one row per line.
@@ -248,28 +283,16 @@ def parse_instance(text: str) -> Instance:
     d=0 instance are not representable (they would be blank lines), so such
     instances always parse with zero rows.
     """
-    d = k = r = None
+    lines = content_lines(text)
+    d, k, r = read_header(lines, "d k r")
     rows: list[PartialVector] = []
-    for num, line in content_lines(text):
-        if d is None:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected header 'd k r', got {line!r}", num)
-            try:
-                d, k, r = (ascii_decimal(p) for p in parts)
-            except ValueError:
-                raise ParseError(
-                    f"header values must be ASCII decimals, got {line!r}", num
-                ) from None
-        else:
-            if len(line) != d:
-                raise ParseError(f"row has {len(line)} characters, expected {d}", num)
-            try:
-                rows.append(PartialVector(line))
-            except ValueError as exc:
-                raise ParseError(str(exc), num) from None
-    if d is None:
-        raise ParseError("missing 'd k r' header")
+    for num, line in lines:
+        if len(line) != d:
+            raise ParseError(f"row has {len(line)} characters, expected {d}", num)
+        try:
+            rows.append(PartialVector(line))
+        except ValueError as exc:
+            raise ParseError(str(exc), num) from None
     return Instance(tuple(rows), k, r, d)
 
 
@@ -286,27 +309,28 @@ def parse_solution(text: str) -> Solution | None:
     input order, then a final line 'S: i1 i2 ...' with 0-based indices in
     strictly ascending order.
     """
-    verdict = None
+    lines = content_lines(text)
+    for num, verdict in lines:
+        if verdict not in ("YES", "NO"):
+            raise ParseError(f"expected 'YES' or 'NO', got {verdict!r}", num)
+        break
+    else:
+        raise ParseError("missing 'YES'/'NO' line")
     rows: list[PartialVector] = []
     selected: frozenset[int] | None = None
-    for num, line in content_lines(text):
-        if verdict is None:
-            if line not in ("YES", "NO"):
-                raise ParseError(f"expected 'YES' or 'NO', got {line!r}", num)
-            verdict = line
-            continue
+    for num, line in lines:
         if verdict == "NO":
             raise ParseError("unexpected content after 'NO'", num)
         if selected is not None:
             raise ParseError("unexpected content after the selection line", num)
         if line.startswith("S:"):
-            try:
-                indices = [ascii_decimal(p) for p in line[2:].split()]
-            except ValueError:
-                raise ParseError(f"bad selection line {line!r}", num) from None
+            indices = _decimal_fields(line[2:])
+            if None in indices:
+                raise ParseError(f"bad selection line {line!r}", num)
             selected = frozenset(indices)
             if len(selected) < len(indices):
-                repeat = next(i for n, i in enumerate(indices) if i in indices[:n])
+                seen: set[int] = set()
+                repeat = next(i for i in indices if i in seen or seen.add(i))
                 raise ParseError(f"selection repeats row index {repeat}", num)
             if indices != sorted(indices):
                 raise ParseError(f"selection indices must ascend, got {line!r}", num)
@@ -314,8 +338,6 @@ def parse_solution(text: str) -> Solution | None:
         if any(c not in "01" for c in line):
             raise ParseError(f"completed row must use only 0/1, got {line!r}", num)
         rows.append(PartialVector(line))
-    if verdict is None:
-        raise ParseError("missing 'YES'/'NO' line")
     if verdict == "NO":
         return None
     if selected is None:

@@ -13,6 +13,13 @@ from divset.solver import neighborhood_gate
 from divset.vectors import serialize_instance
 
 
+# Every character str.isspace() accepts other than the blanks that separate
+# tokens (space, tab, CR, FF, VT) and the newline.
+OTHER_SPACES = [
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in " \t\r\f\v\n"
+]
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -174,12 +181,19 @@ class TestVerify:
         assert main(["verify", inst, sol]) == 2
         assert capsys.readouterr().err == "error: line 4: selection repeats row index 0\n"
 
-    @pytest.mark.parametrize("line", ["S: 1 0", "S: +0 1", "S: \u0660 1"])
-    def test_selection_not_ascending_ascii_exit_two(self, tmp_path, line):
-        # Each names the valid pair {0, 1}, which int() and a set would accept.
+    @pytest.mark.parametrize(
+        "line",
+        ["S: 1 0", "S: +0 1", "S: \u0660 1", *(f"S: 0{space}1" for space in OTHER_SPACES)],
+    )
+    def test_selection_not_ascending_ascii_exit_two(self, tmp_path, capsys, line):
+        # Each names the valid pair {0, 1}, which int(), str.split() and a set
+        # would accept.
         inst = write(tmp_path / "i.inst", "3 2 1\n0?0\n111\n")
         sol = write(tmp_path / "i.sol", f"YES\n010\n111\n{line}\n")
         assert main(["verify", inst, sol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
     def test_separator_inside_a_completed_row_exit_two(self, tmp_path, capsys, separator):
@@ -398,6 +412,27 @@ class TestFo:
             graph = write(tmp_path / "g.graph", graph_text)
             assert main(["fo", "check", formula, graph]) == 2, (text, graph_text)
             assert capsys.readouterr().err == message, (text, graph_text)
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize(
+    "command, texts",
+    [
+        (["solve"], ["3 2{}1\n0?0\n111\n"]),
+        (["fo", "check"], ["exists x. exists y. E(x,y)\n", "2{}1\n1 2\n"]),
+        (["fo", "check"], ["exists x. exists y. E(x,y)\n", "2 1\n1{}2\n"]),
+        (["fo", "check"], ["exists{}x. exists y. E(x,y)\n", "2 1\n1 2\n"]),
+    ],
+    ids=["instance-header", "graph-header", "edge", "formula"],
+)
+def test_other_space_inside_a_token_exit_two(tmp_path, capsys, command, texts, space):
+    # str.split() and str.isspace() take the space for a separator, and the
+    # answer for YES or true.
+    paths = [write(tmp_path / f"input{i}", text.format(space)) for i, text in enumerate(texts)]
+    assert main([*command, *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestClosedPipe:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -301,6 +302,17 @@ class TestBruteForce:
 
     def test_empty_instance_k0(self):
         assert brute_force(Instance((), 0, 5, 0)) == {}
+
+    def test_wide_empty_instance_memory_follows_input(self):
+        # No row, so no mask of d bits is needed; a d-bit mask alone is 12.5 MB.
+        tracemalloc.start()
+        try:
+            outcome = solve(Instance((), 2, 0, 10**8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not outcome.answer
+        assert peak < 1_000_000
 
     @staticmethod
     def reference(instance):
