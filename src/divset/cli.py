@@ -166,19 +166,29 @@ _BENCH_CASES = [
     ("wildcards", {"rows": 12, "d": 10, "k": 3, "r": 2, "density": 0.3}),
     ("exact", {"rows": 60, "d": 24, "k": 4, "r": 14, "density": 0.0}),
     ("exact", {"rows": 120, "d": 24, "k": 4, "r": 14, "density": 0.0}),
+    ("kernel", {"rows": 81, "d": 80, "k": 2, "r": 0, "source": "chain"}),
 ]
 
 
 def _bench_instance(seed: int, suite: str, index: int, case: dict) -> Instance:
+    """A case's rows: random by `density`, or by its fixed `source`.  A
+    "chain" is a random base row and its d copies with one ? each, shuffled;
+    every pair sits at known distance 0, so at k=2, r=0 the certified kernel
+    prunes it down to k * gate - 1 = 53 rows."""
     rng = random.Random(f"{seed}:{suite}:{index}")
-    rows = []
-    for _ in range(case["rows"]):
-        chars = [
-            "?" if rng.random() < case["density"] else rng.choice("01")
-            for _ in range(case["d"])
+    d = case["d"]
+    if case.get("source") == "chain":
+        if case["rows"] != d + 1:
+            raise ValueError(f"a chain of length d={d} has {d + 1} rows, not {case['rows']}")
+        base = "".join(rng.choice("01") for _ in range(d))
+        texts = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
+        rng.shuffle(texts)
+    else:
+        texts = [
+            "".join("?" if rng.random() < case["density"] else rng.choice("01") for _ in range(d))
+            for _ in range(case["rows"])
         ]
-        rows.append(PartialVector("".join(chars)))
-    return Instance(tuple(rows), case["k"], case["r"], case["d"])
+    return Instance(tuple(PartialVector(t) for t in texts), case["k"], case["r"], d)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -201,9 +211,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         outcome = solve(instance)
         elapsed = time.perf_counter() - started
         stages = " ".join(f"{name}={seconds:.4f}" for name, seconds in outcome.stage_seconds)
+        source = f"{case['density']:>5.2f}" if "density" in case else f"{case['source']:>5}"
         print(
             f"{suite:<10} {case['rows']:>6} {case['d']:>4} {case['k']:>2} {case['r']:>2}"
-            f" {case['density']:>5.2f} {digest:<16} {outcome.method:<14} {elapsed:>9.4f}  {stages}"
+            f" {source} {digest:<16} {outcome.method:<14} {elapsed:>9.4f}  {stages}"
         )
         records.append(
             {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import ContractError, ParseError
 from .solver import exhaustive_solve
@@ -48,12 +48,20 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+    def adjacency(self) -> Mapping[int, AbstractSet[int]]:
+        """Each vertex's neighbours.  Only vertices with an edge are stored,
+        so the size follows the edge list, not n; a vertex without an edge
+        reads as having no neighbours and is not inserted."""
+        adj = _Adjacency()
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         return adj
+
+
+class _Adjacency(dict):
+    def __missing__(self, vertex: int) -> frozenset[int]:
+        return frozenset()
 
 
 def parse_graph(text: str) -> Graph:

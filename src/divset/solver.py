@@ -6,11 +6,13 @@ copies and strips rows with more than (k-1)(r+1) unknowns, decrementing k.
 A cheap greedy pass looks for a certificate.  While at least k * gate rows
 remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
-shows preserves the answer; it keeps the neighborhood sizes up to date
-across removals.  When no row can be pruned, and below the gate, the
-exact search decides: a k-clique search over the bitset graph of row pairs
-that can still reach distance r+1, in lexicographic order, with completions
-tried in counting order and forward-checked.  It finds the same first
+shows preserves the answer.  It tests each row pair once, keeps every
+neighborhood as an int bitset, and a prune only clears that row's bit;
+`find_prunable_row` is the checked public entry to the same pruning rule.
+When no row can be pruned, and below the gate, the exact search decides: a
+k-clique search over the bitset graph of row pairs that can still reach
+distance r+1, in lexicographic order, with completions tried in counting
+order and forward-checked.  It finds the same first
 (subset, completion) as a walk over all k-subsets.  These stages return only
 their picks; `lift`, one backward pass over the removals, turns a YES's picks
 into the witness for the original rows, which is verified.
@@ -295,8 +297,7 @@ def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, in
     signature's size rather than d.
     """
     d = v.d
-    unknown = (v.ones | v.zeros) & ~(x.ones | x.zeros)
-    differ = (x.ones & v.zeros) | (x.zeros & v.ones)
+    (unknown, differ), _ = _signature_key(v, x)
     elems = []
     for tag, mask in (("u", unknown), ("d", differ)):
         while mask:
@@ -306,49 +307,98 @@ def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, in
     return frozenset(elems)
 
 
+def _signature_key(v: PartialVector, x: PartialVector) -> tuple[tuple[int, int], int]:
+    """`row_signature(v, x)` as its two masks, x's unknowns and x's
+    disagreements on v's known coordinates, and its size, their popcount
+    sum: equal keys mean equal signatures."""
+    unknown = (v.ones | v.zeros) & ~(x.ones | x.zeros)
+    differ = (x.ones & v.zeros) | (x.zeros & v.ones)
+    return (unknown, differ), unknown.bit_count() + differ.bit_count()
+
+
+def _require_light(rows: Sequence[PartialVector], k: int, r: int) -> None:
+    """NotApplicableError unless every row has at most (k-1)(r+1) unknowns."""
+    heavy = _heavy_row(rows, k, r)
+    if heavy is not None:
+        raise NotApplicableError(f"row {heavy} carries more than {(k - 1) * (r + 1)} unknowns")
+
+
 def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) -> int | None:
     """Find a row whose removal provably keeps the YES/NO answer, or None.
 
     Preconditions, checked with NotApplicableError: every row has at most
     (k-1)(r+1) unknowns and the given row's r-neighborhood reaches the gate.
-    Takes the largest class of neighbors that agree on the reference row's
-    unknown coordinates (lowest first row on ties); in it only identical rows
-    share a `row_signature`.  The Erdos-Rado lemma counts distinct sets, so
-    the first signature size alpha with strictly more than
-    alpha! * (target-1)^alpha distinct signatures yields a sunflower of the
-    target cardinality, and its lowest row is returned.  None when no size
-    has that many: the caller hands the rows to the exact search.
+    Past them this is a thin wrapper: it hands the neighborhood, as a bitset
+    of row indices, to `_prunable_in`, the one pruning rule, which `_kernel`
+    calls directly on the neighborhood bitsets it keeps.  None means no
+    signature size holds enough distinct signatures for a sunflower of the
+    target size, and the caller hands the rows to the exact search.
     """
     k, r = instance.k, instance.r
-    rows = instance.rows
-    heavy = _heavy_row(rows, k, r)
-    if heavy is not None:
-        raise NotApplicableError(f"row {heavy} carries more than {(k - 1) * (r + 1)} unknowns")
+    _require_light(instance.rows, k, r)
     near = neighborhood(instance, v_index, r)
     if len(near) < thresholds.gate:
         raise NotApplicableError(f"neighborhood size {len(near)} below gate {thresholds.gate}")
+    near_mask = sum(1 << j for j in near)
+    return _prunable_in(instance.rows, v_index, near_mask, thresholds.target, {})
 
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative mask, ascending; one
+    pass over its binary text, whatever the number of set bits."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _prunable_in(
+    rows: Sequence[PartialVector],
+    v_index: int,
+    near: int,
+    target: int,
+    memo: dict[int, dict[int, list]],
+) -> int | None:
+    """The pruning rule on row v_index's r-neighborhood `near`, a bitset of
+    row indices; the lowest row of a sunflower, or None.
+
+    Takes the largest class of neighbors that agree on the reference row's
+    unknown coordinates (lowest first row on ties); in it only identical rows
+    share a `row_signature`.  The signatures are tabled by size alpha and
+    `_signature_key`.  The Erdos-Rado lemma counts distinct sets, so the
+    first alpha with strictly more than alpha! * (target-1)^alpha distinct
+    keys yields a sunflower of the target cardinality.  Only that table's
+    frozensets are built.  `memo[v_index][row]` keeps a row's class key,
+    signature key, alpha and frozenset, so each is made once per
+    (v_index, row) for as long as the caller keeps `memo`.
+    """
     v = rows[v_index]
-    z = ((1 << v.d) - 1) ^ (v.ones | v.zeros)
+    free = ~(v.ones | v.zeros)
+    known = memo.setdefault(v_index, {})
     classes: dict[tuple[int, int], list[int]] = {}
-    for idx in sorted(near):
-        row = rows[idx]
-        classes.setdefault((row.ones & z, row.zeros & z), []).append(idx)
+    for idx in _bit_indices(near):
+        entry = known.get(idx)
+        if entry is None:
+            row = rows[idx]
+            entry = known[idx] = [(row.ones & free, row.zeros & free), *_signature_key(v, row), None]
+        classes.setdefault(entry[0], []).append(idx)
     biggest = max(classes.values(), key=lambda members: (len(members), -members[0]))
 
-    tables: dict[int, dict[frozenset, int]] = {}
+    tables: dict[int, dict[tuple[int, int], int]] = {}
     for idx in biggest:
-        sig = row_signature(v, rows[idx])
-        tables.setdefault(len(sig), {}).setdefault(sig, idx)
+        _, key, alpha, _ = known[idx]
+        tables.setdefault(alpha, {}).setdefault(key, idx)
 
-    target = thresholds.target
     for alpha, table in sorted(tables.items()):
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
-        flower = find_sunflower(SetFamily(tuple(table)), alpha, target)
+        owners = tuple(table.values())
+        family = []
+        for idx in owners:
+            entry = known[idx]
+            if entry[3] is None:
+                entry[3] = row_signature(v, rows[idx])
+            family.append(entry[3])
+        flower = find_sunflower(SetFamily(tuple(family)), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
-        owners = tuple(table.values())
         return min(owners[i] for i in flower.member_indices)
     return None
 
@@ -540,39 +590,73 @@ def _first_valid_profile(
     return None
 
 
+def _neighborhood_masks(rows: Sequence[PartialVector], r: int) -> list[int]:
+    """Each row's r-neighborhood as a bitset of row indices, itself included,
+    from one known-distance test per unordered pair."""
+    ones = [row.ones for row in rows]
+    zeros = [row.zeros for row in rows]
+    masks = [1 << i for i in range(len(rows))]
+    for i in range(len(rows)):
+        oi, zi, acc = ones[i], zeros[i], masks[i]
+        for j in range(i + 1, len(rows)):
+            if ((oi & zeros[j]) | (zi & ones[j])).bit_count() <= r:
+                acc |= 1 << j
+                masks[j] |= 1 << i
+        masks[i] = acc
+    return masks
+
+
 def _kernel(
     current: Instance, thresholds: Thresholds, events: list[Removal]
 ) -> tuple[dict[int, PartialVector] | None, str]:
     """The kernel and exact stages; each pruned row is appended to `events`.
 
-    Prunes from the largest r-neighborhood (lowest index on ties).  The sizes
-    are computed once, then lowered by one for the rows within distance r of
-    each pruned row.  Once every size is below the gate, each greedy round
-    drops fewer than gate rows, so k rounds fit in the k * gate rows left.
-    When no row can be pruned, the exact search takes the rows as they are.
+    Prunes from the largest r-neighborhood (lowest index on ties).  The
+    neighborhoods are int bitsets over the rows `current` enters with, from
+    n(n-1)/2 pair tests made once; a prune only clears its row's bit from its
+    neighbors' sets, and the sizes are their bit counts.  Pruning removes
+    rows and leaves k and r alone, so the heavy-row precondition is checked
+    once, on entry, and the pruning rule `_prunable_in` runs unchecked, with
+    one memo of signature keys and sets for the whole call.  Once every size is below the
+    gate, each greedy round drops fewer than gate rows, so k rounds fit in
+    the k * gate rows left.  When no row can be pruned, the exact search
+    takes the rows as they are: one new Instance of the rows left, or
+    `current` itself when none was pruned.
     """
     k, r = current.k, current.r
-    sizes: list[int] | None = None
-    while current.n >= k * thresholds.gate:
-        if sizes is None:
-            sizes = [len(neighborhood(current, i, r)) for i in range(current.n)]
-        biggest = max(sizes)
-        if biggest < thresholds.gate:
-            picks = greedy_attempt(current)
-            if picks is None:
-                raise ContractError("greedy ran out of rows despite the size preconditions")
-            return picks, "greedy-bounded"
-        f = find_prunable_row(current, sizes.index(biggest), thresholds)
-        if f is None:
-            break
-        pruned = current.rows[f]
-        events.append(Removal(f, pruned, PRUNED))
-        current = Instance(current.rows[:f] + current.rows[f + 1 :], k, r, current.d)
-        del sizes[f]
-        for j, row in enumerate(current.rows):
-            if known_distance(pruned, row) <= r:
-                sizes[j] -= 1
+    rows = current.rows
+    if current.n >= k * thresholds.gate:
+        _require_light(rows, k, r)
+        near = _neighborhood_masks(rows, r)
+        alive = list(range(current.n))
+        memo: dict[int, dict[int, list]] = {}
+        while len(alive) >= k * thresholds.gate:
+            sizes = [near[i].bit_count() for i in alive]
+            biggest = max(sizes)
+            if biggest < thresholds.gate:
+                picks = greedy_attempt(_survivors(current, alive))
+                if picks is None:
+                    raise ContractError("greedy ran out of rows despite the size preconditions")
+                return picks, "greedy-bounded"
+            v = alive[sizes.index(biggest)]
+            f = _prunable_in(rows, v, near[v], thresholds.target, memo)
+            if f is None:
+                break
+            at = alive.index(f)
+            events.append(Removal(at, rows[f], PRUNED))
+            del alive[at]
+            keep = ~(1 << f)
+            for j in _bit_indices(near[f]):
+                near[j] &= keep
+        current = _survivors(current, alive)
     return brute_force(current), "brute-force"
+
+
+def _survivors(instance: Instance, alive: list[int]) -> Instance:
+    """`instance` itself when no row was pruned, else its rows at `alive`."""
+    if len(alive) == instance.n:
+        return instance
+    return Instance(tuple(instance.rows[i] for i in alive), instance.k, instance.r, instance.d)
 
 
 def solve(instance: Instance) -> SolveOutcome:

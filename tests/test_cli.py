@@ -497,6 +497,23 @@ class TestBench:
         assert stats[0] == stats[1]
         assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]
 
+    def test_kernel_suite_reaches_the_certified_kernel(self, tmp_path, capsys):
+        # 81 chain rows against k * gate = 54: the kernel prunes to 53 rows
+        # and the exact search answers YES.
+        report = tmp_path / "kernel.json"
+        assert main(["bench", "--only", "kernel", "--report", str(report)]) == 0
+        (case,) = json.loads(report.read_text())["cases"]
+        assert (case["answer"], case["method"]) == ("YES", "brute-force")
+        assert case["stats"] == {"rows_in": 81, "rows_reduced": 81, "k_reduced": 2, "kernel_rows": 54}
+        assert " chain 8f9bf5bd8fa6de9e brute-force " in capsys.readouterr().out
+
+    def test_chain_case_rows_must_match_its_length(self):
+        # A chain of length d has d+1 rows; a case that says otherwise
+        # would report one row count and solve another.
+        case = {"rows": 80, "d": 80, "k": 2, "r": 0, "source": "chain"}
+        with pytest.raises(ValueError, match="has 81 rows, not 80"):
+            _bench_instance(1, "kernel", 16, case)
+
     @pytest.mark.parametrize("seed", ["1_0", "\u0667", "-3"])
     def test_seed_takes_ascii_decimals_only(self, capsys, seed):
         # `int` would read these as 10, 7 and -3.
@@ -509,20 +526,23 @@ class TestBench:
 
     def test_instance_digests_pinned(self):
         # Every bench case's instance digest for seeds 0 and 7, without
-        # solving.  Seed 0's list is the one committed in BENCH_4.json and
-        # BENCH_5.json, so a changed case, seed or generator shows here.
+        # solving.  Seed 0's first 16 are the ones committed in BENCH_4.json
+        # and BENCH_5.json, so a changed case, seed or generator shows here;
+        # the 17th is the kernel chain.
         pinned = {
             0: [
                 "24cd7a41d6dcf6d9", "f1c16e94aebbdfe7", "1800a822112eb39b", "baf5cc7607696e28",
                 "664d69be14e2b58b", "63941e65d33db6ef", "21be3874494fee94", "a73016e9d0fea8ff",
                 "60ecee1463476e2b", "645f43b0dadfb41f", "6904bb11fc19671f", "2d90e83787c5a4c2",
                 "bef2d8c1c49a7e9e", "5efd108c47d271d5", "6b4f1835e7c762c2", "0defa2c2f2aa509e",
+                "8f9bf5bd8fa6de9e",
             ],
             7: [
                 "3da14ad9ce7250e4", "a5780534080e00b3", "942f2012f012bb82", "758597a81b3845e8",
                 "885ff9aa8f10f1b8", "f34018d3ee6cda65", "743664ec80ddfe60", "ed33925d2c681ce5",
                 "3f134048fd14bba2", "b00ae2237a8c2522", "88094f92df936547", "ad3f649e5b1033a2",
                 "faafb63d8f018b90", "0bc982d156081bec", "7275ccd93d7eecf4", "0405995aed36093b",
+                "61ab9a028f8196ee",
             ],
         }
         for seed, digests in pinned.items():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from divset.fologic import (
     to_text,
     vertex_classifier,
 )
-from divset.reductions import Graph, distance_graph, hypercube_embedding
+from divset.reductions import Graph, distance_graph, hypercube_embedding, parse_graph
 from test_acceptance import CORPUS
 
 K2 = Graph(2, ((1, 2),))
@@ -119,6 +120,19 @@ class TestEvaluate:
 
     def test_adjacency_is_irreflexive(self):
         assert not evaluate(K3, parse_formula("exists x. E(x,x)"))
+
+    def test_header_size_alone_costs_no_memory(self):
+        # Only vertices with an edge hold a neighbour set, so an edgeless
+        # graph on 10^9 vertices evaluates in the memory of its 13 bytes.
+        graph = parse_graph("1000000000 0\n")
+        tracemalloc.start()
+        try:
+            holds = evaluate(graph, parse_formula("exists x. x=x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds
+        assert peak < 1_000_000
 
     def test_free_variable_rejected(self):
         with pytest.raises(ContractError):

@@ -39,6 +39,18 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, ((1, 2), (2, 1)))
 
+    def test_adjacency_stores_only_vertices_with_edges(self):
+        for graph, stored in [
+            (Graph(5, ((1, 2), (2, 4))), {1: {2}, 2: {1, 4}, 4: {2}}),
+            (Graph(2, ((1, 2),)), {1: {2}, 2: {1}}),
+            (Graph(3, ()), {}),
+        ]:
+            adj = graph.adjacency()
+            assert dict(adj) == stored
+            # A vertex without an edge reads as empty and is not inserted.
+            assert all(not adj[v] for v in range(1, graph.n + 2) if v not in stored)
+            assert dict(adj) == stored
+
     def test_parse_round_trip(self):
         text = "3 2\n1 2\n2 3\n"
         assert serialize_graph(parse_graph(text)) == text

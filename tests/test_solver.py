@@ -208,6 +208,24 @@ def reference_greedy(instance):
     return picks, [row.text.replace("?", "0") for row in instance.rows]
 
 
+def reference_pruned(instance, thresholds):
+    """The kernel's removals by full recompute: after every prune, each
+    neighborhood again through `neighborhood`, and the row through the
+    checked `find_prunable_row`, on a new instance of the rows left."""
+    current, pruned = instance, []
+    while current.n >= instance.k * thresholds.gate:
+        sizes = [len(neighborhood(current, i, instance.r)) for i in range(current.n)]
+        if max(sizes) < thresholds.gate:
+            break
+        f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
+        if f is None:
+            break
+        pruned.append(Removal(f, current.rows[f], PRUNED))
+        rows = current.rows[:f] + current.rows[f + 1 :]
+        current = Instance(rows, instance.k, instance.r, instance.d)
+    return pruned
+
+
 class TestPruning:
     def test_signature_construction(self):
         sig = row_signature(PartialVector("0000"), PartialVector("1?00"))
@@ -230,6 +248,31 @@ class TestPruning:
                 PartialVector("".join(rng.choice("01?") for _ in range(d))) for _ in range(2)
             )
             assert row_signature(v, x) == reference(v, x), (v, x)
+
+    def test_signature_key_matches_signature(self):
+        # The kernel tables signatures by their masks; a key must stand for
+        # exactly one signature and carry its size.  Half the pairs are near
+        # copies, so equal signatures come up as well as distinct ones.
+        rng = random.Random(59)
+        same = 0
+        for _ in range(2000):
+            d = rng.randint(0, 70)
+            v = PartialVector("".join(rng.choice("01?") for _ in range(d)))
+            xs = []
+            for _ in range(2):
+                if rng.random() < 0.5:
+                    cells = list(v.text)
+                    for j in rng.sample(range(d), min(d, rng.randint(0, 2))):
+                        cells[j] = rng.choice("01?")
+                    xs.append(PartialVector("".join(cells)))
+                else:
+                    xs.append(PartialVector("".join(rng.choice("01?") for _ in range(d))))
+            (key_a, alpha_a), (key_b, alpha_b) = (solver._signature_key(v, x) for x in xs)
+            sig_a, sig_b = (row_signature(v, x) for x in xs)
+            assert (key_a == key_b) == (sig_a == sig_b), (v, xs)
+            assert (alpha_a, alpha_b) == (len(sig_a), len(sig_b)), (v, xs)
+            same += sig_a == sig_b
+        assert same >= 100, same
 
     def test_unit_vector_family(self):
         instance = inst(["0000", "1000", "0100", "0010", "0001"], 2, 1)
@@ -534,20 +577,6 @@ class TestSolve:
         # out of rows, the largest neighborhood moves between them as rows are
         # pruned, and some rows sit exactly r+1 from the pruned ones, so stale
         # or misapplied neighborhood sizes change which rows go.
-        def reference_pruned(instance, thresholds):
-            current, pruned = instance, []
-            while current.n >= instance.k * thresholds.gate:
-                sizes = [len(neighborhood(current, i, instance.r)) for i in range(current.n)]
-                if max(sizes) < thresholds.gate:
-                    break
-                f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
-                if f is None:
-                    break
-                pruned.append(Removal(f, current.rows[f], PRUNED))
-                rows = current.rows[:f] + current.rows[f + 1 :]
-                current = Instance(rows, instance.k, instance.r, instance.d)
-            return pruned
-
         rng = random.Random(1)
         thresholds = Thresholds(4, 3)
         patch_gates(monkeypatch, 4, 3)
@@ -569,6 +598,23 @@ class TestSolve:
             chains += len(outcome.trace) >= 2
         assert chains >= 25
 
+    def test_kernel_hands_unpruned_rows_over_as_they_are(self, monkeypatch):
+        # The zero row's neighborhood reaches gate 5, but target 40 needs
+        # more than 39 distinct signatures of size 1 and the 9 unit rows give
+        # 9, so nothing is pruned: the exact search gets the very instance
+        # that greedy saw, not a copy.
+        d = 9
+        units = ["".join("1" if i == j else "0" for j in range(d)) for i in range(d)]
+        instance = inst(["0" * d] + units, 2, 1, d)
+        seen = []
+        for name in ("greedy_attempt", "brute_force"):
+            stage = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda x, stage=stage: seen.append(x) or stage(x))
+        patch_gates(monkeypatch, 5, 40)
+        outcome = solve(instance)
+        assert (outcome.method, outcome.trace) == ("brute-force", ())
+        assert len(seen) == 2 and seen[1] is seen[0]
+
     @pytest.mark.parametrize("d, pruned", [(53, 1), (60, 8), (80, 28)])
     def test_certified_kernel_prunes_chain(self, d, pruned):
         # A base row and its d copies with one ? each, k=2, r=0: every pair
@@ -582,6 +628,7 @@ class TestSolve:
         instance = inst(rows, 2, 0, d)
         outcome = solve(instance)
         assert [e.kind for e in outcome.trace] == [PRUNED] * pruned
+        assert list(outcome.trace) == reference_pruned(instance, Thresholds.for_parameters(2, 0))
         assert dict(outcome.stats)["kernel_rows"] == 54
         assert outcome.method == "brute-force"
         assert outcome.answer and verify_solution(instance, outcome.witness).ok
