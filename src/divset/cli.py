@@ -167,6 +167,15 @@ _BENCH_CASES = [
     ("exact", {"rows": 60, "d": 24, "k": 4, "r": 14, "density": 0.0}),
     ("exact", {"rows": 120, "d": 24, "k": 4, "r": 14, "density": 0.0}),
     ("kernel", {"rows": 81, "d": 80, "k": 2, "r": 0, "source": "chain"}),
+    # All-? rows at k = A(d, r+1) + 1, so NO; the first meets the counting
+    # bound (30 >= 30), so its completions are searched.
+    ("hard-no", {"rows": 5, "d": 5, "k": 5, "r": 2, "density": 1.0}),
+    ("hard-no", {"rows": 5, "d": 6, "k": 5, "r": 3, "density": 1.0}),
+    ("hard-no", {"rows": 5, "d": 8, "k": 5, "r": 4, "density": 1.0}),
+    # Their YES twins at k = A(d, r+1) = 4.
+    ("tight-yes", {"rows": 4, "d": 5, "k": 4, "r": 2, "density": 1.0}),
+    ("tight-yes", {"rows": 4, "d": 6, "k": 4, "r": 3, "density": 1.0}),
+    ("tight-yes", {"rows": 4, "d": 8, "k": 4, "r": 4, "density": 1.0}),
 ]
 
 

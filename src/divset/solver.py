@@ -11,11 +11,13 @@ neighborhood as an int bitset, and a prune only clears that row's bit;
 `find_prunable_row` is the checked public entry to the same pruning rule.
 When no row can be pruned, and below the gate, the exact search decides: a
 k-clique search over the bitset graph of row pairs that can still reach
-distance r+1, in lexicographic order, with completions tried in counting
-order and forward-checked.  It finds the same first
-(subset, completion) as a walk over all k-subsets.  These stages return only
-their picks; `lift`, one backward pass over the removals, turns a YES's picks
-into the witness for the original rows, which is verified.
+distance r+1, in lexicographic order, skipping a clique whose pair distances,
+or those of three of its rows, cannot sum to C(size,2)(r+1) (Plotkin's
+count), with completions tried in counting order and forward-checked.  It
+finds the same first (subset, completion) as a walk over all k-subsets.
+These stages return only their picks; `lift`, one backward pass over the
+removals, turns a YES's picks into the witness for the original rows, which
+is verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -435,10 +437,14 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     bitset, built on first use.  The cliques come in
     `itertools.combinations` order: take the lowest candidate, recurse on
     the candidates after it that are compatible with it, and give up a level
-    once fewer candidates remain than rows are missing.  Each clique goes to
-    `_assign`.  Both cuts only skip subsets or completions that hold no
-    solution, so the witness is the one a plain walk over all subsets and
-    completions finds first.
+    once fewer candidates remain than rows are missing.  Third, Plotkin's
+    count: a completion's pair distances sum, column by column, to the pairs
+    each column splits, at most floor(k^2/4) where some row is unknown and
+    the known disagreements elsewhere; a clique whose sum stays below
+    C(k,2)(r+1), or holding three rows whose sum stays below 3(r+1), is
+    skipped.  The rest go to `_assign`.  All cuts only skip subsets or
+    completions that hold no solution, so the witness is the one a plain
+    walk over all subsets and completions finds first.
     """
     k, r, d = instance.k, instance.r, instance.d
     rows, n = instance.rows, instance.n
@@ -467,10 +473,30 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
         return completions[i]
 
     for subset in _cliques(k, (1 << n) - 1, later_of):
+        if _below_plotkin([rows[i] for i in subset], need):
+            continue
         chosen = _assign([masks_of(i) for i in subset], need)
         if chosen is not None:
             return {i: PartialVector(_mask_text(mask, d)) for i, mask in zip(subset, chosen)}
     return None
+
+
+def _below_plotkin(clique: Sequence[PartialVector], need: int) -> bool:
+    """True when the pair distances of the clique, or of three of its rows
+    (counted over their own unknown columns), cannot sum to C(size,2) * need,
+    so no completion is pairwise `need` apart (`brute_force`'s third cut)."""
+    k = len(clique)
+    if k < 3:
+        return False  # at k = 2 the bound is the pair filter
+    fixed = -1
+    for row in clique:
+        fixed &= row.ones | row.zeros
+    total = (clique[0].d - fixed.bit_count()) * (k * k // 4)
+    for a, b in itertools.combinations(clique, 2):
+        total += (((a.ones & b.zeros) | (a.zeros & b.ones)) & fixed).bit_count()
+    if total < k * (k - 1) // 2 * need:
+        return True
+    return k > 3 and any(_below_plotkin(t, need) for t in itertools.combinations(clique, 3))
 
 
 def _cliques(size: int, cand: int, later_of) -> Iterator[list[int]]:

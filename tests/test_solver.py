@@ -333,6 +333,15 @@ class TestPruning:
         assert pruned >= 5
 
 
+def is_clique(rows, r):
+    """Whether every pair of rows can still be completed more than r apart,
+    by a walk over their characters."""
+    return all(
+        sum(x != y or "?" in (x, y) for x, y in zip(a.text, b.text)) > r
+        for a, b in itertools.combinations(rows, 2)
+    )
+
+
 class TestBruteForce:
     def test_no_when_distance_unreachable(self):
         assert brute_force(inst(["00", "01"], 2, 1)) is None
@@ -390,16 +399,23 @@ class TestBruteForce:
 
     def test_matches_subset_walk(self):
         rng = random.Random(41)
-        kinds = {"yes": 0, "no": 0, "k=0": 0, "k>n": 0, "n=0": 0}
-        for _ in range(1500):
-            n, d = rng.randint(0, 9), rng.randint(1, 6)
+        kinds = {"yes": 0, "no": 0, "k=0": 0, "k>n": 0, "n=0": 0, "cut": 0}
+        for trial in range(2000):
+            # The last 500 draw all-? and mostly-? rows, whose cliques the
+            # counting bound refuses; the reference walk has no such cut.
+            dense = trial >= 1500
+            n, d = rng.randint(0, 9), rng.randint(1, 4 if dense else 6)
             k, r = rng.randint(0, 5), rng.randint(0, 3)
-            density = rng.uniform(0.0, 0.4)
+            density = rng.choice((0.7, 1.0)) if dense else rng.uniform(0.0, 0.4)
             rows = [
                 "".join("?" if rng.random() < density else rng.choice("01") for _ in range(d))
                 for _ in range(n)
             ]
             instance = inst(rows, k, r, d)
+            kinds["cut"] += any(
+                is_clique(subset, r) and solver._below_plotkin(subset, r + 1)
+                for subset in itertools.combinations(instance.rows, k)
+            )
             picks = brute_force(instance)
             expected = self.reference(instance)
             assert (picks is not None) == (expected is not None), rows
@@ -442,6 +458,64 @@ class TestBruteForce:
         elapsed = time.perf_counter() - started
         assert not outcome.answer and outcome.method == "brute-force"
         assert elapsed < 5
+
+    @pytest.mark.parametrize(
+        "rows, k, r",
+        [
+            # plot.inst: each of its cliques walked up to 256^4 completion
+            # tuples, 50-70 s in all, before the counting bound refused it.
+            (["????????"] * 5 + ["?0?0????", "????????", "???????0", "?0??????"], 5, 4),
+            # 7 * floor(81/4) = 140 < C(9,2) * 4 = 144; never finished before.
+            (["???????"] * 9, 9, 3),
+        ],
+    )
+    def test_no_beyond_the_counting_bound_answers_fast(self, rows, k, r):
+        instance = inst(rows, k, r)
+        started = time.perf_counter()
+        outcome = solve(instance)
+        elapsed = time.perf_counter() - started
+        assert not outcome.answer and outcome.method == "brute-force"
+        assert elapsed < 1
+
+    def test_counting_bound_refuses_only_unsolvable_cliques(self):
+        # Every pairwise-compatible clique `_below_plotkin` refuses has no
+        # completion `_assign` accepts; the cut fires often, at k >= 4 too.
+        rng = random.Random(19)
+        refused = dict.fromkeys(range(2, 6), 0)
+        for _ in range(3000):
+            k, r, d = rng.randint(2, 5), rng.randint(0, 4), rng.randint(1, 6)
+            density = rng.choice((0.0, 0.3, 0.6, 1.0))
+            shared = set(rng.sample(range(d), rng.randint(0, d)))
+            clique = [
+                PartialVector(
+                    "".join(
+                        "?" if j in shared or rng.random() < density else rng.choice("01")
+                        for j in range(d)
+                    )
+                )
+                for _ in range(k)
+            ]
+            if is_clique(clique, r) and solver._below_plotkin(clique, r + 1):
+                refused[k] += 1
+                masks = [solver._completion_masks(v) for v in clique]
+                assert solver._assign(masks, r + 1) is None, [v.text for v in clique]
+        assert refused[2] == 0 and refused[4] + refused[5] >= 200, refused
+        assert sum(refused.values()) >= 300, refused
+
+    def test_three_rows_refuse_what_the_whole_count_lets_through(self, monkeypatch):
+        # The four rows count 2 * 4 + 11 = 19 >= C(4,2) * 3, but rows 0, 2
+        # and 3 only 2 * 2 + 4 = 8 < 3 * 3: on the ? columns row 0 must sit
+        # 2 from both others, which leaves those two equal there.
+        instance = inst(["??110", "??001", "??010", "??100"], 4, 2)
+        masks = [solver._completion_masks(v) for v in instance.rows]
+        assert solver._assign(masks, 3) is None
+        assert solver._below_plotkin(instance.rows, 3)
+
+        def fail(options, need):
+            raise AssertionError("_assign reached")
+
+        monkeypatch.setattr(solver, "_assign", fail)
+        assert brute_force(instance) is None
 
 
 class TestExhaustive:
