@@ -309,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
             code = 2
         except Exception as exc:
             # Exit 1 means NO or false, so a crash must never surface as it.
-            print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: unexpected {type(exc).__name__}{detail}", file=sys.stderr)
             code = 2
         sys.stdout.flush()
         return code

@@ -285,6 +285,8 @@ def greedy_attempt(instance: Instance) -> dict[int, PartialVector] | None:
             return None
         v = alive[0]
         picks.append(v)
+        if len(picks) == instance.k:
+            break  # the last round's survivors would go unread
         v_ones, v_zeros = ones[v], zeros[v]
         alive = [j for j in alive if ((v_ones & zeros[j]) | (v_zeros & ones[j])).bit_count() > r]
     return {v: rows[v].complete_zeros() for v in picks}

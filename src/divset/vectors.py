@@ -18,38 +18,40 @@ from .errors import DimensionMismatch, ParseError
 UNKNOWN = "?"
 
 # Bit i of a mask holds the character at text position d-1-i, i.e. the
-# leftmost character is the highest bit.
-_ONES = str.maketrans("?", "0")
+# leftmost character is the highest bit.  The _NOT_ tables delete the legal
+# characters, so what is left of a text is what it holds illegally.
 _ZEROS = str.maketrans("01?", "100")
+_NOT_CELL = str.maketrans("", "", "01?")
+_NOT_BIT = str.maketrans("", "", "01")
 
 
 class PartialVector:
     """An immutable vector over {0, 1, ?}.
 
-    The constructor reads the text once: it counts the three characters,
-    refusing any other, and stores the length `d`, `unknown_count` and two
-    bit masks, known ones and known zeros.  Distances read the masks, so they
-    cost O(d / word size) instead of a character loop, and `complete_zeros`
-    builds its result from them without parsing text again.
+    The constructor deletes the three characters with one `translate` and
+    refuses the text if anything is left, so only checked text reaches
+    `int`.  It stores the length `d`, two bit masks, known ones and known
+    zeros, and `unknown_count`, the bits in neither.  Distances read the
+    masks, so they cost O(d / word size) instead of a character loop, and
+    `complete_zeros` builds its result from them without parsing text again.
     """
 
     __slots__ = ("text", "d", "ones", "zeros", "unknown_count")
 
     def __init__(self, text: str):
-        d = len(text)
-        unknown = text.count("?")
-        if text.count("0") + text.count("1") + unknown != d:
-            bad = next(c for c in text if c not in "01?")
-            raise ValueError(f"illegal character {bad!r} in vector {text!r}")
-        self.text = text
-        self.d = d
-        self.unknown_count = unknown
+        bad = text.translate(_NOT_CELL)
+        if bad:
+            raise ValueError(f"illegal character {bad[0]!r} in vector {text!r}")
         if text:
-            self.ones = int(text.translate(_ONES), 2)
-            self.zeros = int(text.translate(_ZEROS), 2)
+            ones = int(text.replace("?", "0"), 2)
+            zeros = int(text.translate(_ZEROS), 2)
         else:
-            self.ones = 0
-            self.zeros = 0
+            ones = zeros = 0
+        self.text = text
+        self.d = d = len(text)
+        self.ones = ones
+        self.zeros = zeros
+        self.unknown_count = d - (ones | zeros).bit_count()
 
     @property
     def is_complete(self) -> bool:
@@ -335,7 +337,7 @@ def parse_solution(text: str) -> Solution | None:
             if indices != sorted(indices):
                 raise ParseError(f"selection indices must ascend, got {line!r}", num)
             continue
-        if any(c not in "01" for c in line):
+        if line.translate(_NOT_BIT):
             raise ParseError(f"completed row must use only 0/1, got {line!r}", num)
         rows.append(PartialVector(line))
     if verdict == "NO":

@@ -119,6 +119,15 @@ class TestSolve:
         assert main(["verify", past_oracle_cap, str(sol)]) == 0
         assert capsys.readouterr().out == "PASS\n"
 
+    def test_crash_without_message_names_its_type(self, yes_instance, monkeypatch, capsys):
+        # str(MemoryError()) is empty; the line must not end in a bare colon.
+        def out_of_memory(instance):
+            raise MemoryError()
+
+        monkeypatch.setattr(divset.cli, "solve", out_of_memory)
+        assert main(["solve", yes_instance]) == 2
+        assert capsys.readouterr().err == "error: unexpected MemoryError\n"
+
     def test_report_reproducible_modulo_timings(self, yes_instance, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

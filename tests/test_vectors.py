@@ -219,6 +219,89 @@ class TestInstanceFormat:
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+# Legal cells plus characters that a wrong check could let through: blanks,
+# int() literal parts, a digit, an Arabic-Indic one, a separator and a
+# no-break space.
+READER_ALPHABET = "01?" + " _b+2\u0661\x1c\xa0"
+
+
+def reader_texts(seed, count=3000):
+    """Seeded texts for the differential tests, the empty text first.  Most
+    draws are mostly legal, so both outcomes are common."""
+    rng = random.Random(seed)
+    texts = [""]
+    for _ in range(count):
+        legal = rng.choice(["01", "01?", READER_ALPHABET])
+        noise = rng.choice([0.0, 0.05, 0.3])
+        texts.append(
+            "".join(
+                rng.choice(READER_ALPHABET) if rng.random() < noise else rng.choice(legal)
+                for _ in range(rng.randint(0, 12))
+            )
+        )
+    return texts
+
+
+def reference_vector(text):
+    """A character loop: the five slots of PartialVector(text), or the error
+    naming the first illegal character."""
+    ones = zeros = unknown = 0
+    for c in text:
+        if c not in "01?":
+            return f"illegal character {c!r} in vector {text!r}"
+        ones = ones << 1 | (c == "1")
+        zeros = zeros << 1 | (c == "0")
+        unknown += c == "?"
+    return (text, len(text), ones, zeros, unknown)
+
+
+def slots(v):
+    # __eq__ compares the text only, so every slot is read out.
+    return (v.text, v.d, v.ones, v.zeros, v.unknown_count)
+
+
+def vector_slots(text):
+    try:
+        return slots(PartialVector(text))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderDifferential:
+    def test_vector_matches_character_loop(self):
+        texts = reader_texts(seed=21)
+        outcomes = [reference_vector(t) for t in texts]
+        assert sum(isinstance(o, str) for o in outcomes) > 300
+        assert sum(isinstance(o, tuple) for o in outcomes) > 300
+        for text, expected in zip(texts, outcomes):
+            assert vector_slots(text) == expected, text
+
+    def test_solution_rows_match_character_loop(self):
+        rng = random.Random(22)
+        texts = reader_texts(seed=23)
+        refused = 0
+        for _ in range(1500):
+            rows = rng.sample(texts, rng.randint(0, 4))
+            expected = []
+            for num, row in enumerate(rows, start=2):
+                # " " is the alphabet's one blank that content_lines strips.
+                line = row.strip(" ")
+                if not line:
+                    continue
+                if any(c not in "01" for c in line):
+                    expected = f"line {num}: completed row must use only 0/1, got {line!r}"
+                    refused += 1
+                    break
+                expected.append(reference_vector(line))
+            text = "YES\n" + "".join(f"{row}\n" for row in rows) + "S:\n"
+            try:
+                got = [slots(v) for v in parse_solution(text).completed]
+            except ParseError as exc:
+                got = str(exc)
+            assert got == expected, rows
+        assert 300 < refused < 1200
+
+
 class TestSolutionFormat:
     def test_round_trip(self):
         sol = Solution((pv("00"), pv("11")), frozenset({0, 1}))
