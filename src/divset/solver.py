@@ -1,8 +1,8 @@
 """Exact decision procedure for the diversity-completion problem.
 
 `solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  `reduce`
-is the one place the two reduction rules run: it caps duplicate rows at k
-copies and strips rows with more than (k-1)(r+1) unknowns, decrementing k.
+is the one place the two reduction rules run: it strips rows with more than
+(k-1)(r+1) unknowns, decrementing k, and then caps duplicate rows at k copies.
 A cheap greedy pass looks for a certificate.  While at least k * gate rows
 remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
@@ -15,9 +15,9 @@ distance r+1, in lexicographic order, skipping a clique whose pair distances,
 or those of three of its rows, cannot sum to C(size,2)(r+1) (Plotkin's
 count), with completions tried in counting order and forward-checked.  It
 finds the same first (subset, completion) as a walk over all k-subsets.
-These stages return only their picks; `lift`, one backward pass over the
-removals, turns a YES's picks into the witness for the original rows, which
-is verified.
+These stages return only their picks.  Every removal names its row by its
+index in the input, so `lift` maps a YES's picks to input indices, completes
+the heavy rows against them and the rest to zeros; the witness is verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .errors import ContractError, NotApplicableError, OracleLimitError
 from .sunflowers import SetFamily, find_sunflower
@@ -52,8 +52,9 @@ PRUNED = "pruned"
 class Removal:
     """One row taken out of the working instance.
 
-    `index` is the row's position at the moment of removal, so `lift`,
-    replaying the trace backwards, shifts every later pick past it.
+    `index` is the row's index in the instance `solve` was given.  A trace
+    holds the heavy rows in the order `reduce` stripped them, which `lift`
+    completes last first, then the duplicates by index, then the prunes.
     """
 
     index: int
@@ -66,8 +67,8 @@ class SolveOutcome:
     """The answer, its witness, the removals and the branch that decided.
 
     `stage_seconds` times each stage.  `stats` holds `solve`'s deterministic
-    sizes: `rows_in`, `rows_reduced` and `k_reduced` after the duplicate caps
-    and the heavy-row strip, and `kernel_rows`, the k * gate rows the kernel
+    sizes: `rows_in`, `rows_reduced` and `k_reduced` after the heavy-row strip
+    and the duplicate cap, and `kernel_rows`, the k * gate rows the kernel
     needs, saturating like the gate (None when k < 2 and the greedy pass
     decides alone).
     """
@@ -164,58 +165,44 @@ class Thresholds:
         return cls(neighborhood_gate(k, r), sunflower_target(k, r))
 
 
-def _cap_duplicates(
-    rows: list[PartialVector], k: int
-) -> tuple[list[PartialVector], list[Removal]]:
-    """Keep only the first k copies of each identical row.
-
-    Sound at any k: a diversity set uses at most k rows in total, and copies
-    of an identical partial row are interchangeable.
-    """
-    kept: list[PartialVector] = []
-    events: list[Removal] = []
-    counts: dict[str, int] = {}
-    for row in rows:
-        text = row.text
-        seen = counts.get(text, 0)
-        if seen < k:
-            counts[text] = seen + 1
-            kept.append(row)
-        else:
-            events.append(Removal(len(kept), row, DUPLICATE))
-    return kept, events
-
-
-def _heavy_row(rows: Sequence[PartialVector], k: int, r: int) -> int | None:
-    """Index of the lowest row holding more than (k-1)(r+1) unknowns, or None
-    when no row qualifies.  At k = 0 every row qualifies."""
+def _heavy_row(rows: Sequence[PartialVector], k: int, r: int, skip: Container = ()) -> int | None:
+    """Index of the lowest row outside `skip` holding more than (k-1)(r+1)
+    unknowns, or None when no row qualifies.  At k = 0 every row qualifies."""
     budget = (k - 1) * (r + 1)
     for i, row in enumerate(rows):
-        if row.unknown_count > budget:
+        if row.unknown_count > budget and i not in skip:
             return i
     return None
 
 
 def reduce(instance: Instance) -> tuple[Instance, list[Removal]]:
-    """The reduction rules, each keeping the answer: cap identical rows at k
-    copies; while k > 0, remove the lowest row with more than (k-1)(r+1)
-    unknowns and decrement k; then cap again at the lowered k.  Returns the
-    reduced instance and the removals, in order, for `lift` to replay."""
+    """The reduction rules, each keeping the answer: while k > 0, remove the
+    lowest row with more than (k-1)(r+1) unknowns and decrement k; then keep
+    the first k copies of each row text, as a diversity set uses at most k
+    rows and copies are interchangeable.  Returns the reduced instance and
+    the removals, in trace order."""
     k, r = instance.k, instance.r
-    rows, removals = _cap_duplicates(list(instance.rows), k)
-    while k > 0 and (i := _heavy_row(rows, k, r)) is not None:
-        removals.append(Removal(i, rows.pop(i), HEAVY))
+    removals: list[Removal] = []
+    heavy: set[int] = set()
+    while k > 0 and (i := _heavy_row(instance.rows, k, r, heavy)) is not None:
+        heavy.add(i)
+        removals.append(Removal(i, instance.rows[i], HEAVY))
         k -= 1
-    if k < instance.k:
-        # k dropped, so the duplicate cap must tighten to the new k as well.
-        rows, dup_removals = _cap_duplicates(rows, k)
-        removals.extend(dup_removals)
-    return Instance(tuple(rows), k, r, instance.d), removals
+    kept: list[PartialVector] = []
+    counts: dict[str, int] = {}
+    for i, row in enumerate(instance.rows):
+        if i not in heavy:
+            seen = counts[row.text] = counts.get(row.text, 0) + 1
+            if seen <= k:
+                kept.append(row)
+            else:
+                removals.append(Removal(i, row, DUPLICATE))
+    return Instance(tuple(kept), k, r, instance.d), removals
 
 
 def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) -> PartialVector:
     """The completion of a heavy row `reduce` removed, which joins `picks`,
-    the reduced instance's picked rows by index.  `lift` adds it to the picks.
+    the picked rows by input index.  `lift` adds it to the picks.
 
     Takes the (k-1)(r+1) lowest unknown coordinates of the removed row,
     splits them in index order into k-1 blocks of r+1, and fills block i with
@@ -245,19 +232,30 @@ def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) ->
     return v_star
 
 
+def _at_input(rows: dict[int, PartialVector], removals: Sequence[Removal]) -> dict[int, PartialVector]:
+    """`rows` by index in the instance left after `removals`, rekeyed in order
+    by input index: one walk over the sorted removed indices per row."""
+    gone = sorted(removal.index for removal in removals)
+    moved: dict[int, PartialVector] = {}
+    for i, row in rows.items():
+        for g in gone:
+            if g > i:
+                break
+            i += 1
+        moved[i] = row
+    return moved
+
+
 def lift(
     instance: Instance, picks: dict[int, PartialVector], removals: Sequence[Removal]
 ) -> Solution:
-    """The witness for `instance` from the picks made after `removals`, in one
-    backward pass: each removal, last first, shifts the picks at or after its
-    index up by one, and a heavy row's adds the row `lift_heavy_row`
-    completes.  Every row left unpicked completes to zeros."""
+    """The witness for `instance` from the picks made after `removals`: the
+    picks at their input indices, each heavy row as `lift_heavy_row`
+    completes it, last removed first, and every other row completed to 0."""
+    picks = _at_input(picks, removals)
     for removal in reversed(removals):
-        at = removal.index
-        lifted = {i if i < at else i + 1: row for i, row in picks.items()}
         if removal.kind == HEAVY:
-            lifted[at] = lift_heavy_row(picks, removal, instance.r)
-        picks = lifted
+            picks[removal.index] = lift_heavy_row(picks, removal, instance.r)
     completed = tuple(
         picks[i] if i in picks else row.complete_zeros() for i, row in enumerate(instance.rows)
     )
@@ -635,9 +633,9 @@ def _neighborhood_masks(rows: Sequence[PartialVector], r: int) -> list[int]:
 
 
 def _kernel(
-    current: Instance, thresholds: Thresholds, events: list[Removal]
+    current: Instance, thresholds: Thresholds, pruned: dict[int, PartialVector]
 ) -> tuple[dict[int, PartialVector] | None, str]:
-    """The kernel and exact stages; each pruned row is appended to `events`.
+    """The kernel and exact stages; each pruned row joins `pruned` under its index in `current`.
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
     neighborhoods are int bitsets over the rows `current` enters with, from
@@ -670,9 +668,8 @@ def _kernel(
             f = _prunable_in(rows, v, near[v], thresholds.target, memo)
             if f is None:
                 break
-            at = alive.index(f)
-            events.append(Removal(at, rows[f], PRUNED))
-            del alive[at]
+            pruned[f] = rows[f]
+            alive.remove(f)
             keep = ~(1 << f)
             for j in _bit_indices(near[f]):
                 near[j] &= keep
@@ -707,7 +704,9 @@ def solve(instance: Instance) -> SolveOutcome:
         kernel_rows = min(k * thresholds.gate, SATURATION_CAP)
         picks, method = greedy_attempt(current), "greedy"
         if picks is None:
-            picks, method = _kernel(current, thresholds, events)
+            pruned: dict[int, PartialVector] = {}
+            picks, method = _kernel(current, thresholds, pruned)
+            events += [Removal(i, row, PRUNED) for i, row in _at_input(pruned, events).items()]
     t2 = perf_counter()
     stages.append(("decide", t2 - t1))
 

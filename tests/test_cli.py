@@ -138,8 +138,8 @@ class TestSolve:
         assert reports[0] == reports[1]
 
     def test_report_stats(self, tmp_path):
-        # The first cap keeps three 0000 rows for k = 3, ???? is stripped
-        # (4 > (k-1)(r+1) = 2), and the second cap keeps two for k = 2.
+        # ???? is stripped (4 > (k-1)(r+1) = 2), lowering k to 2, and the
+        # one duplicate cap, at that k, keeps two of the four 0000 rows.
         instance = write(tmp_path / "s.inst", "4 3 0\n????\n0000\n0000\n0000\n0000\n1111\n")
         report_path = tmp_path / "s.json"
         assert main(["solve", instance, "--report", str(report_path)]) == 0

@@ -29,7 +29,7 @@ from divset.vectors import Instance, serialize_instance, serialize_solution
 
 SEED = 20240714
 SIZE = 3000
-CORPUS_DIGEST = "b15d0c2fd61f24602d7d697245f13c4f83b363cb530bace909ee52296bfa953a"
+CORPUS_DIGEST = "fb068f4dfb2d47fa821aa14490bea1b0d67fc766ddbafd7b23fa8a6fcfdb7c0e"
 
 
 def _flip(text, positions):
@@ -197,7 +197,8 @@ def _duplicates_and_heavy_rows():
 def test_reduce_is_what_solve_runs(monkeypatch):
     """`reduce` leaves no row over (k-1)(r+1) unknowns when k > 0 and no row
     text more than k times, and `solve`'s trace begins with exactly its
-    removals; every later removal is the kernel's."""
+    removals; every later removal is the kernel's.  Every removal names its
+    row by a distinct index in the input."""
     stripped = capped = 0
     for instance, gates in (*corpus(), *_duplicates_and_heavy_rows()):
         reduced, removals = reduce(instance)
@@ -210,6 +211,8 @@ def test_reduce_is_what_solve_runs(monkeypatch):
             trace = solve(instance).trace
         assert trace[: len(removals)] == tuple(removals)
         assert all(removal.kind == PRUNED for removal in trace[len(removals) :])
+        assert all(instance.rows[removal.index] is removal.row for removal in trace)
+        assert len({removal.index for removal in trace}) == len(trace)
         stripped += k < instance.k
         capped += any(removal.kind == DUPLICATE for removal in removals)
     assert stripped >= 100 and capped >= 100, (stripped, capped)

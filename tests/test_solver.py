@@ -213,6 +213,7 @@ def reference_pruned(instance, thresholds):
     neighborhood again through `neighborhood`, and the row through the
     checked `find_prunable_row`, on a new instance of the rows left."""
     current, pruned = instance, []
+    origin = list(range(instance.n))
     while current.n >= instance.k * thresholds.gate:
         sizes = [len(neighborhood(current, i, instance.r)) for i in range(current.n)]
         if max(sizes) < thresholds.gate:
@@ -220,7 +221,7 @@ def reference_pruned(instance, thresholds):
         f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
         if f is None:
             break
-        pruned.append(Removal(f, current.rows[f], PRUNED))
+        pruned.append(Removal(origin.pop(f), current.rows[f], PRUNED))
         rows = current.rows[:f] + current.rows[f + 1 :]
         current = Instance(rows, instance.k, instance.r, instance.d)
     return pruned
@@ -566,12 +567,15 @@ class TestSolve:
         assert sum(1 for e in outcome.trace if e.kind == "duplicate-cap") == 3
         assert not outcome.answer  # identical full rows are never r+1 apart
 
-        # The first cap keeps three 0000 rows for k = 3; stripping ???? drops
-        # k to 2, so the second cap removes one more copy.
+        # Stripping ???? drops k from 3 to 2, and the one cap, at the final
+        # k, keeps the first two 0000 rows.  Each removal names its input row.
         instance = inst(["????", "0000", "0000", "0000", "0000", "1111"], 3, 0)
         outcome = solve(instance)
-        kinds = [e.kind for e in outcome.trace]
-        assert {kind: kinds.count(kind) for kind in kinds} == {DUPLICATE: 2, HEAVY: 1}
+        assert [(e.index, e.row.text, e.kind) for e in outcome.trace] == [
+            (0, "????", HEAVY),
+            (3, "0000", DUPLICATE),
+            (4, "0000", DUPLICATE),
+        ]
         assert outcome.answer and outcome.method == "greedy"
         assert verify_solution(instance, outcome.witness).ok
 
@@ -705,6 +709,28 @@ class TestSolve:
         assert list(outcome.trace) == reference_pruned(instance, Thresholds.for_parameters(2, 0))
         assert dict(outcome.stats)["kernel_rows"] == 54
         assert outcome.method == "brute-force"
+        assert outcome.answer and verify_solution(instance, outcome.witness).ok
+
+    def test_kernel_names_pruned_rows_by_input_index(self):
+        # The d=60 chain, its first three rows in three copies each: `reduce`
+        # caps them at k=2 copies, removing input rows 2, 5 and 8, and the
+        # kernel prunes the 64 rows left to 53, so a prune's position in the
+        # reduced rows is not its input index.
+        rng = random.Random(5)
+        d = 60
+        base = "".join(rng.choice("01") for _ in range(d))
+        rows = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
+        rng.shuffle(rows)
+        rows[:3] = [text for text in rows[:3] for _ in range(3)]
+        instance = inst(rows, 2, 0, d)
+        reduced, _ = reduce(instance)
+        outcome = solve(instance)
+        assert [e.kind for e in outcome.trace] == [DUPLICATE] * 3 + [PRUNED] * 11
+        assert [e.index for e in outcome.trace[:3]] == [2, 5, 8]
+        assert all(instance.rows[e.index] is e.row for e in outcome.trace)
+        expected = reference_pruned(reduced, Thresholds.for_parameters(2, 0))
+        assert [e.row for e in outcome.trace[3:]] == [e.row for e in expected]
+        assert any(e.index != f.index for e, f in zip(outcome.trace[3:], expected))
         assert outcome.answer and verify_solution(instance, outcome.witness).ok
 
     def test_threshold_overrides_are_not_solve_arguments(self):
