@@ -3,8 +3,12 @@
 `solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  `reduce`
 is the one place the two reduction rules run: it strips rows with more than
 (k-1)(r+1) unknowns, decrementing k, and then caps duplicate rows at k copies.
-A cheap greedy pass looks for a certificate.  While at least k * gate rows
-remain, the kernel answers with the guaranteed greedy once every
+A cheap greedy pass looks for a certificate: one ascending scan picks each
+row at known distance > r from every earlier pick and stops at the k-th.
+These are the picks of rounds of "keep the lowest surviving row, drop its
+r-neighborhood" (pick t is the first row alive after round t-1), with the
+same tests up to the k-th pick and none after it.  While at least k * gate
+rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
 shows preserves the answer.  It tests each row pair once, keeps every
 neighborhood as an int bitset, and a prune only clears that row's bit;
@@ -256,38 +260,46 @@ def lift(
     for removal in reversed(removals):
         if removal.kind == HEAVY:
             picks[removal.index] = lift_heavy_row(picks, removal, instance.r)
-    completed = tuple(
-        picks[i] if i in picks else row.complete_zeros() for i, row in enumerate(instance.rows)
-    )
+    completed = list(map(PartialVector.complete_zeros, instance.rows))
+    for i, row in picks.items():
+        completed[i] = row
     return Solution(completed, frozenset(picks))
 
 
 def greedy_attempt(instance: Instance) -> dict[int, PartialVector] | None:
-    """k rounds of: keep the lowest-index surviving row, drop every row within
-    known distance r of it.  Any success is a sound certificate (completions
-    only grow distances); None means the heuristic ran out of rows.
+    """The first k rows, in one ascending scan, each at known distance > r
+    from every earlier pick.  Any success is a sound certificate (completions
+    only grow distances); None means the scan ran out of rows.
 
-    Reads the rows' `ones`/`zeros` masks only.  The distance is the one
-    `known_distance` computes; its length check is left out because an
-    `Instance` already holds rows of one dimension.  The picks complete to
-    zeros through `complete_zeros` (`{}` when k = 0); `lift` does the rest.
+    This is the rounds "keep the lowest surviving row, drop every row within
+    known distance r of it".  Pick t is the first row alive after round t-1,
+    so every row below it is already dropped, and round t keeps exactly the
+    rows after pick t that are far from all t picks: the rows the scan
+    reaches next with the same tests.  The scan makes those (row, pick) tests
+    up to the k-th pick and none after it.
+
+    Reads the `ones`/`zeros` masks of the rows it reaches only.  The distance
+    is the one `known_distance` computes; its length check is left out
+    because an `Instance` already holds rows of one dimension.  The picks
+    complete to zeros through `complete_zeros` (`{}` when k = 0); `lift` does
+    the rest.
     """
-    rows = instance.rows
-    r = instance.r
-    ones = [row.ones for row in rows]
-    zeros = [row.zeros for row in rows]
-    picks: list[int] = []
-    alive = list(range(instance.n))
-    for _ in range(instance.k):
-        if not alive:
-            return None
-        v = alive[0]
-        picks.append(v)
-        if len(picks) == instance.k:
-            break  # the last round's survivors would go unread
-        v_ones, v_zeros = ones[v], zeros[v]
-        alive = [j for j in alive if ((v_ones & zeros[j]) | (v_zeros & ones[j])).bit_count() > r]
-    return {v: rows[v].complete_zeros() for v in picks}
+    k, r = instance.k, instance.r
+    if k == 0:
+        return {}
+    picks: dict[int, PartialVector] = {}
+    masks: list[tuple[int, int]] = []
+    for j, row in enumerate(instance.rows):
+        ones, zeros = row.ones, row.zeros
+        for p_ones, p_zeros in masks:
+            if ((p_ones & zeros) | (p_zeros & ones)).bit_count() <= r:
+                break
+        else:
+            picks[j] = row.complete_zeros()
+            if len(picks) == k:
+                return picks
+            masks.append((ones, zeros))
+    return None
 
 
 def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, int]]:
@@ -643,11 +655,12 @@ def _kernel(
     neighbors' sets, and the sizes are their bit counts.  Pruning removes
     rows and leaves k and r alone, so the heavy-row precondition is checked
     once, on entry, and the pruning rule `_prunable_in` runs unchecked, with
-    one memo of signature keys and sets for the whole call.  Once every size is below the
-    gate, each greedy round drops fewer than gate rows, so k rounds fit in
-    the k * gate rows left.  When no row can be pruned, the exact search
-    takes the rows as they are: one new Instance of the rows left, or
-    `current` itself when none was pruned.
+    one memo of signature keys and sets for the whole call.  Once every size
+    is below the gate, each greedy pick rules out fewer than gate rows, its
+    neighborhood, so the scan makes k picks within the k * gate rows left.
+    When no row can be pruned, the exact search takes the rows as they are:
+    one new Instance of the rows left, or `current` itself when none was
+    pruned.
     """
     k, r = current.k, current.r
     rows = current.rows

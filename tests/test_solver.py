@@ -177,26 +177,70 @@ class TestGreedy:
                 "".join("?" if rng.random() < density else rng.choice("01") for _ in range(d))
                 for _ in range(n)
             ]
-            instance = inst(rows, k, r, d)
-            expected = reference_greedy(instance)
-            got = greedy_attempt(instance)
-            if expected is None:
-                assert got is None
+            picks = check_greedy(inst(rows, k, r, d))
+            if picks is None:
                 seen["no"] += 1
                 continue
-            picks, texts = expected
-            witness = lift(instance, got, ())
-            assert witness.selected == frozenset(picks)
-            assert [row.text for row in witness.completed] == texts
-            assert verify_solution(instance, witness).ok
             seen["yes"] += 1
             seen["k=0"] += k == 0
             seen["n=0"] += n == 0
         assert min(seen.values()) >= 50, seen
 
+    def test_matches_rounds_on_crowded_rows(self):
+        # Up to 300 rows, most of them copies or near copies of one base row
+        # at r close to d, so most rows are dropped and a pick can come late;
+        # in most instances a far row (the base's complement, maybe with
+        # unknowns) is planted past the first third.  k runs past n too.
+        rng = random.Random(29)
+        seen = {"late": 0, "none": 0, "k=0": 0, "k>n": 0, "yes": 0}
+        for _ in range(1000):
+            n = rng.choice((rng.randint(1, 30), rng.randint(100, 300)))
+            d = rng.randint(2, 16)
+            r = max(0, d - rng.randint(1, 3))
+            base = [rng.choice("01") for _ in range(d)]
+            rows: list[str] = []
+            for _ in range(n):
+                if rows and rng.random() < 0.4:
+                    rows.append(rng.choice(rows))
+                    continue
+                cells = base[:]
+                for p in rng.sample(range(d), rng.randint(0, 1)):
+                    cells[p] = rng.choice("01?")
+                rows.append("".join(cells))
+            if rng.random() < 0.8:
+                far = ["?" if rng.random() < 0.05 else "10"[int(c)] for c in base]
+                rows[rng.randrange(n // 3, n)] = "".join(far)
+            k = rng.choice((0, 2, rng.randint(1, 3), n + rng.randint(1, 3)))
+            picks = check_greedy(inst(rows, k, r, d))
+            seen["k>n"] += k > n
+            if picks is None:
+                seen["none"] += 1
+                continue
+            seen["yes"] += 1
+            seen["k=0"] += k == 0
+            seen["late"] += bool(picks) and picks[-1] >= 100
+        assert min(seen.values()) >= 50, seen
+
+
+def check_greedy(instance):
+    """greedy_attempt against `reference_greedy`, its picks lifted and
+    verified; returns the reference picks, or None when both fail."""
+    expected = reference_greedy(instance)
+    got = greedy_attempt(instance)
+    if expected is None:
+        assert got is None
+        return None
+    picks, texts = expected
+    witness = lift(instance, got, ())
+    assert witness.selected == frozenset(picks)
+    assert [row.text for row in witness.completed] == texts
+    assert verify_solution(instance, witness).ok
+    return picks
+
 
 def reference_greedy(instance):
-    """greedy_attempt's rounds through known_distance, completing with text."""
+    """Greedy as rounds through known_distance, completing with text: keep
+    the lowest surviving row, drop every row within r of it."""
     picks, alive = [], list(range(instance.n))
     for _ in range(instance.k):
         if not alive:

@@ -184,10 +184,13 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("2 1 0\n0x\n")
 
-    @pytest.mark.parametrize("text", ["0b1", "1_0", "+1", "1 0", "\u0661\u0660"])
+    @pytest.mark.parametrize(
+        "text", ["0b1", "0b1?", "1_0", "1_0?", "+1", "1 0", "\u0661\u0660", "?\u0661"]
+    )
     def test_int_literal_forms_rejected(self, text):
-        # int(text, 2) accepts all but "1 0" (the Arabic-Indic digits read
-        # as 2), so the character check must not lean on it.
+        # int(text, 2) accepts all but "1 0" once each '?' reads as 0 (the
+        # Arabic-Indic digits read as 2), so the character check must not
+        # lean on it, with or without '?'.
         with pytest.raises(ValueError, match="illegal character"):
             pv(text)
         with pytest.raises(ParseError, match="illegal character"):
@@ -269,12 +272,19 @@ def vector_slots(text):
 
 class TestReaderDifferential:
     def test_vector_matches_character_loop(self):
-        texts = reader_texts(seed=21)
-        outcomes = [reference_vector(t) for t in texts]
-        assert sum(isinstance(o, str) for o in outcomes) > 300
-        assert sum(isinstance(o, tuple) for o in outcomes) > 300
-        for text, expected in zip(texts, outcomes):
+        # Complete texts, texts with '?', and refused texts with and without
+        # '?' are each counted, so a check or a read that leans on '?' being
+        # present or absent is caught.
+        texts = ["0b1", "0b1?", "1_0?", "\u0661\u0660", "?\u0661"] + reader_texts(seed=21)
+        seen = {"complete": 0, "unknowns": 0, "refused": 0, "refused with ?": 0}
+        for text in texts:
+            expected = reference_vector(text)
+            if isinstance(expected, str):
+                seen["refused with ?" if "?" in text else "refused"] += 1
+            else:
+                seen["unknowns" if "?" in text else "complete"] += 1
             assert vector_slots(text) == expected, text
+        assert min(seen.values()) > 200, seen
 
     def test_solution_rows_match_character_loop(self):
         rng = random.Random(22)
