@@ -126,29 +126,21 @@ def independent_set_to_r2(graph: Graph, k: int, mode: str = "verbatim") -> Insta
     """Encode an independent-set question at distance threshold 2 over the
     graph with every edge subdivided twice; the instance asks for |E|+k rows.
 
-    mode "verbatim": vertex i occupies coordinates {i, i+1}; edge (i, j) adds
-    rows {i, i+1, j} and {j, j+1, i}.  Consecutive vertices overlap in this
-    layout (on a single edge the first subdivision row can equal a vertex
-    row).  mode "disjoint_pairs": vertex i occupies {2i-1, 2i} instead, and
-    the edge rows are {2i-1, 2i, 2j-1} and {2j-1, 2j, 2i-1}.
+    Vertex i occupies a slot of two coordinates, and edge (i, j) adds two
+    rows: i's slot plus the first coordinate of j's, and j's slot plus the
+    first of i's.  mode "verbatim": the slot of i is {i, i+1}, so consecutive
+    vertices overlap (on a single edge the first subdivision row can equal a
+    vertex row).  mode "disjoint_pairs": the slot of i is {2i-1, 2i}.
     """
     if mode not in ("verbatim", "disjoint_pairs"):
         raise ValueError(f"unknown mode {mode!r}")
     n = graph.n
     d = 2 * n
-    rows = []
-    for i in range(1, n + 1):
-        coords = (i, i + 1) if mode == "verbatim" else (2 * i - 1, 2 * i)
-        rows.append(_row_from_coords(coords, d))
+    slot = {i: (i, i + 1) if mode == "verbatim" else (2 * i - 1, 2 * i) for i in range(1, n + 1)}
+    rows = [_row_from_coords(slot[i], d) for i in range(1, n + 1)]
     for i, j in graph.edges:
-        if mode == "verbatim":
-            first = {i, i + 1, j}
-            second = {j, j + 1, i}
-        else:
-            first = {2 * i - 1, 2 * i, 2 * j - 1}
-            second = {2 * j - 1, 2 * j, 2 * i - 1}
-        rows.append(_row_from_coords(first, d))
-        rows.append(_row_from_coords(second, d))
+        rows.append(_row_from_coords((*slot[i], slot[j][0]), d))
+        rows.append(_row_from_coords((*slot[j], slot[i][0]), d))
     return Instance(tuple(rows), graph.m + k, 2, d)
 
 

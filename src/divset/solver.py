@@ -19,9 +19,10 @@ distance r+1, in lexicographic order, skipping a clique whose pair distances,
 or those of three of its rows, cannot sum to C(size,2)(r+1) (Plotkin's
 count), with completions tried in counting order and forward-checked.  It
 finds the same first (subset, completion) as a walk over all k-subsets.
-These stages return only their picks.  Every removal names its row by its
-index in the input, so `lift` maps a YES's picks to input indices, completes
-the heavy rows against them and the rest to zeros; the witness is verified.
+These stages return only their picks, and the kernel its prunes.  The trace
+holds each removal as (input index, kind), so `lift` maps a YES's picks to
+input indices, reads each removed heavy row from the input and completes it
+against them, and completes the rest to zeros; the witness is verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
 
@@ -31,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from time import perf_counter
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import ContractError, NotApplicableError, OracleLimitError
 from .sunflowers import SetFamily, find_sunflower
@@ -54,15 +55,14 @@ PRUNED = "pruned"
 
 @dataclass(frozen=True)
 class Removal:
-    """One row taken out of the working instance.
-
-    `index` is the row's index in the instance `solve` was given.  A trace
-    holds the heavy rows in the order `reduce` stripped them, which `lift`
-    completes last first, then the duplicates by index, then the prunes.
+    """One row taken out of the working instance, as its index in the
+    instance `solve` was given and the rule that removed it; the row itself
+    is `instance.rows[index]`.  A trace holds the heavy rows in the order
+    `reduce` stripped them, which `lift` completes last first, then the
+    duplicates by index, then the prunes.
     """
 
     index: int
-    row: PartialVector
     kind: str
 
 
@@ -190,7 +190,7 @@ def reduce(instance: Instance) -> tuple[Instance, list[Removal]]:
     heavy: set[int] = set()
     while k > 0 and (i := _heavy_row(instance.rows, k, r, heavy)) is not None:
         heavy.add(i)
-        removals.append(Removal(i, instance.rows[i], HEAVY))
+        removals.append(Removal(i, HEAVY))
         k -= 1
     kept: list[PartialVector] = []
     counts: dict[str, int] = {}
@@ -200,13 +200,13 @@ def reduce(instance: Instance) -> tuple[Instance, list[Removal]]:
             if seen <= k:
                 kept.append(row)
             else:
-                removals.append(Removal(i, row, DUPLICATE))
+                removals.append(Removal(i, DUPLICATE))
     return Instance(tuple(kept), k, r, instance.d), removals
 
 
-def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) -> PartialVector:
-    """The completion of a heavy row `reduce` removed, which joins `picks`,
-    the picked rows by input index.  `lift` adds it to the picks.
+def lift_heavy_row(picks: dict[int, PartialVector], row: PartialVector, r: int) -> PartialVector:
+    """The completion of `row`, a heavy row `reduce` removed, which joins
+    `picks`, the picked rows by input index.  `lift` adds it to the picks.
 
     Takes the (k-1)(r+1) lowest unknown coordinates of the removed row,
     splits them in index order into k-1 blocks of r+1, and fills block i with
@@ -220,33 +220,32 @@ def lift_heavy_row(picks: dict[int, PartialVector], removal: Removal, r: int) ->
     if any(known_distance(s, t) < r + 1 for s, t in itertools.combinations(order, 2)):
         raise ContractError("reduced witness is not a valid diversity set")
 
-    v = removal.row
     need = len(order) * (r + 1)
-    unknown = v.unknown_positions()
+    unknown = row.unknown_positions()
     if len(unknown) < need:
         raise ContractError("removed row lacks the unknown coordinates the lift requires")
     bits = dict.fromkeys(unknown[need:], "0")
     for i, s in enumerate(order):
         for j in unknown[i * (r + 1) : (i + 1) * (r + 1)]:
             bits[j] = "1" if s.text[j] == "0" else "0"
-    v_star = v.completed_with(bits)
+    v_star = row.completed_with(bits)
 
     if any(known_distance(v_star, s) < r + 1 for s in order):
         raise ContractError("lift construction failed to reach the distance bound")
     return v_star
 
 
-def _at_input(rows: dict[int, PartialVector], removals: Sequence[Removal]) -> dict[int, PartialVector]:
-    """`rows` by index in the instance left after `removals`, rekeyed in order
-    by input index: one walk over the sorted removed indices per row."""
+def _at_input(positions: Iterable[int], removals: Sequence[Removal]) -> list[int]:
+    """The input index of each position in the instance left after
+    `removals`, in order: one walk over the sorted removed indices each."""
     gone = sorted(removal.index for removal in removals)
-    moved: dict[int, PartialVector] = {}
-    for i, row in rows.items():
+    moved: list[int] = []
+    for i in positions:
         for g in gone:
             if g > i:
                 break
             i += 1
-        moved[i] = row
+        moved.append(i)
     return moved
 
 
@@ -254,12 +253,14 @@ def lift(
     instance: Instance, picks: dict[int, PartialVector], removals: Sequence[Removal]
 ) -> Solution:
     """The witness for `instance` from the picks made after `removals`: the
-    picks at their input indices, each heavy row as `lift_heavy_row`
-    completes it, last removed first, and every other row completed to 0."""
-    picks = _at_input(picks, removals)
+    picks at their input indices, each heavy row, read from `instance`, as
+    `lift_heavy_row` completes it, last removed first, and every other row
+    completed to 0."""
+    picks = dict(zip(_at_input(picks, removals), picks.values()))
     for removal in reversed(removals):
         if removal.kind == HEAVY:
-            picks[removal.index] = lift_heavy_row(picks, removal, instance.r)
+            i = removal.index
+            picks[i] = lift_heavy_row(picks, instance.rows[i], instance.r)
     completed = list(map(PartialVector.complete_zeros, instance.rows))
     for i, row in picks.items():
         completed[i] = row
@@ -564,6 +565,13 @@ def exhaustive_solve(
     to the zero completion, which is also the lexicographic minimum, so the
     canonical witness is exactly the least (completion, selection) pair.
     Refuses instances above the configured caps.
+
+    The walk keeps the least (induced matrix, subset) so far, replaced only
+    by a strictly smaller matrix.  A subset's first valid completion, in
+    counting order, induces its least matrix.  A subset valid under the
+    overall least matrix P induces a matrix at most P (its rows of P, zeros
+    elsewhere), so exactly P: the walk keeps the lowest of them, as the least
+    pair requires.  With no unknowns it stops at the first valid subset.
     """
     rows = instance.rows
     n = instance.n
@@ -585,9 +593,8 @@ def exhaustive_solve(
             variants = [v for base in variants for v in (base, base | bit)]
         comp.append(variants)
     zero_profile = tuple(c[0] for c in comp)
-    wildcard_free = total_unknown == 0
 
-    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    best: tuple[list[int], tuple[int, ...]] | None = None
     for subset in itertools.combinations(range(n), k):
         profile = _first_valid_profile(subset, comp, need)
         if profile is None:
@@ -595,25 +602,14 @@ def exhaustive_solve(
         induced = list(zero_profile)
         for pos, i in enumerate(subset):
             induced[i] = profile[pos]
-        accepted.append((tuple(induced), subset))
-        if wildcard_free:
+        if best is None or induced < best[0]:
+            best = (induced, subset)
+        if total_unknown == 0:
             break
 
-    if not accepted:
+    if best is None:
         return SolveOutcome(None, (), "exhaustive")
-
-    if wildcard_free:
-        best_profile, final_subset = accepted[0]
-    else:
-        best_profile = min(ind for ind, _ in accepted)
-        final_subset = next(
-            subset
-            for subset in itertools.combinations(range(n), k)
-            if all(
-                (best_profile[a] ^ best_profile[b]).bit_count() >= need
-                for a, b in itertools.combinations(subset, 2)
-            )
-        )
+    best_profile, final_subset = best
     completed = tuple(PartialVector(_mask_text(m, d)) for m in best_profile)
     witness = Solution(completed, frozenset(final_subset))
     return SolveOutcome(witness, (), "exhaustive")
@@ -645,9 +641,10 @@ def _neighborhood_masks(rows: Sequence[PartialVector], r: int) -> list[int]:
 
 
 def _kernel(
-    current: Instance, thresholds: Thresholds, pruned: dict[int, PartialVector]
-) -> tuple[dict[int, PartialVector] | None, str]:
-    """The kernel and exact stages; each pruned row joins `pruned` under its index in `current`.
+    current: Instance, thresholds: Thresholds
+) -> tuple[dict[int, PartialVector] | None, str, list[int]]:
+    """The kernel and exact stages: the picks, the method that decided, and
+    the pruned rows' positions in `current`, in the order they were pruned.
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
     neighborhoods are int bitsets over the rows `current` enters with, from
@@ -664,6 +661,7 @@ def _kernel(
     """
     k, r = current.k, current.r
     rows = current.rows
+    pruned: list[int] = []
     if current.n >= k * thresholds.gate:
         _require_light(rows, k, r)
         near = _neighborhood_masks(rows, r)
@@ -676,18 +674,18 @@ def _kernel(
                 picks = greedy_attempt(_survivors(current, alive))
                 if picks is None:
                     raise ContractError("greedy ran out of rows despite the size preconditions")
-                return picks, "greedy-bounded"
+                return picks, "greedy-bounded", pruned
             v = alive[sizes.index(biggest)]
             f = _prunable_in(rows, v, near[v], thresholds.target, memo)
             if f is None:
                 break
-            pruned[f] = rows[f]
+            pruned.append(f)
             alive.remove(f)
             keep = ~(1 << f)
             for j in _bit_indices(near[f]):
                 near[j] &= keep
         current = _survivors(current, alive)
-    return brute_force(current), "brute-force"
+    return brute_force(current), "brute-force", pruned
 
 
 def _survivors(instance: Instance, alive: list[int]) -> Instance:
@@ -709,17 +707,16 @@ def solve(instance: Instance) -> SolveOutcome:
     stages.append(("reduce", t1 - t0))
 
     kernel_rows = None
+    picks, method = greedy_attempt(current), "greedy"
     if k < 2:
         # At most one row to pick, so the greedy pass is already exact.
-        picks, method = greedy_attempt(current), "shortcut"
+        method = "shortcut"
     else:
         thresholds = Thresholds.for_parameters(k, r)
         kernel_rows = min(k * thresholds.gate, SATURATION_CAP)
-        picks, method = greedy_attempt(current), "greedy"
         if picks is None:
-            pruned: dict[int, PartialVector] = {}
-            picks, method = _kernel(current, thresholds, pruned)
-            events += [Removal(i, row, PRUNED) for i, row in _at_input(pruned, events).items()]
+            picks, method, pruned = _kernel(current, thresholds)
+            events += [Removal(i, PRUNED) for i in _at_input(pruned, events)]
     t2 = perf_counter()
     stages.append(("decide", t2 - t1))
 

@@ -153,7 +153,7 @@ def _record(instance):
         serialize_instance(instance),
         serialize_solution(outcome.witness),
         outcome.method,
-        tuple((e.index, e.row.text, e.kind) for e in outcome.trace),
+        tuple((e.index, instance.rows[e.index].text, e.kind) for e in outcome.trace),
         outcome.stats,
         serialize_solution(None if picks is None else lift(instance, picks, ())),
         oracle,
@@ -211,7 +211,7 @@ def test_reduce_is_what_solve_runs(monkeypatch):
             trace = solve(instance).trace
         assert trace[: len(removals)] == tuple(removals)
         assert all(removal.kind == PRUNED for removal in trace[len(removals) :])
-        assert all(instance.rows[removal.index] is removal.row for removal in trace)
+        assert all(0 <= removal.index < instance.n for removal in trace)
         assert len({removal.index for removal in trace}) == len(trace)
         stripped += k < instance.k
         capped += any(removal.kind == DUPLICATE for removal in removals)

@@ -97,15 +97,13 @@ class TestThresholds:
 class TestHeavyRows:
     def test_removes_heavy_row(self):
         reduced, [removal] = reduce(inst(["????0", "00000"], 2, 1))
-        assert removal.index == 0 and removal.row.text == "????0"
-        assert removal.kind == HEAVY
+        assert removal == Removal(0, HEAVY)
         assert reduced.k == 1
         assert [r.text for r in reduced.rows] == ["00000"]
 
     def test_k1_any_wildcard_qualifies(self):
         reduced, [removal] = reduce(inst(["0?0"], 1, 2))
-        assert reduced.k == 0 and removal.row.text == "0?0"
-        assert removal.kind == HEAVY
+        assert reduced.k == 0 and removal == Removal(0, HEAVY)
 
     def test_not_applicable(self):
         instance = inst(["0?", "11"], 2, 1)
@@ -113,14 +111,14 @@ class TestHeavyRows:
 
     def test_lift_opposes_each_selected_vector(self):
         picks = {0: PartialVector("0000")}
-        removal = Removal(0, PartialVector("???0"), HEAVY)
-        assert lift_heavy_row(picks, removal, r=1).text == "1100"
+        removal = Removal(0, HEAVY)
+        assert lift_heavy_row(picks, PartialVector("???0"), r=1).text == "1100"
         lifted = lift(inst(["???0", "0000"], 2, 1), picks, (removal,))
         assert lifted.completed[0].text == "1100"
         assert lifted.selected == {0, 1}
 
     def test_lift_to_k1(self):
-        removal = Removal(0, PartialVector("??"), HEAVY)
+        removal = Removal(0, HEAVY)
         lifted = lift(inst(["??"], 1, 3), {}, (removal,))
         assert lifted.completed[0].text == "00"
         assert lifted.selected == {0}
@@ -128,7 +126,7 @@ class TestHeavyRows:
     def test_lift_rejects_broken_witness(self):
         bad = {0: PartialVector("00"), 1: PartialVector("01")}
         with pytest.raises(ContractError):
-            lift_heavy_row(bad, Removal(0, PartialVector("??"), HEAVY), r=1)
+            lift_heavy_row(bad, PartialVector("??"), r=1)
 
     def test_lifted_witness_verifies_on_random_instances(self):
         rng = random.Random(3)
@@ -265,7 +263,7 @@ def reference_pruned(instance, thresholds):
         f = find_prunable_row(current, sizes.index(max(sizes)), thresholds)
         if f is None:
             break
-        pruned.append(Removal(origin.pop(f), current.rows[f], PRUNED))
+        pruned.append(Removal(origin.pop(f), PRUNED))
         rows = current.rows[:f] + current.rows[f + 1 :]
         current = Instance(rows, instance.k, instance.r, instance.d)
     return pruned
@@ -615,7 +613,7 @@ class TestSolve:
         # k, keeps the first two 0000 rows.  Each removal names its input row.
         instance = inst(["????", "0000", "0000", "0000", "0000", "1111"], 3, 0)
         outcome = solve(instance)
-        assert [(e.index, e.row.text, e.kind) for e in outcome.trace] == [
+        assert [(e.index, instance.rows[e.index].text, e.kind) for e in outcome.trace] == [
             (0, "????", HEAVY),
             (3, "0000", DUPLICATE),
             (4, "0000", DUPLICATE),
@@ -689,7 +687,7 @@ class TestSolve:
         outcome = solve(instance)
         assert outcome.method == "greedy-bounded"
         assert [e.kind for e in outcome.trace] == [PRUNED] * 10
-        assert outcome.trace[0].row.text == rows[0]
+        assert instance.rows[outcome.trace[0].index].text == rows[0]
         assert verify_solution(instance, outcome.witness).ok
         assert exhaustive_solve(instance, max_rows=instance.n).answer
 
@@ -771,9 +769,9 @@ class TestSolve:
         outcome = solve(instance)
         assert [e.kind for e in outcome.trace] == [DUPLICATE] * 3 + [PRUNED] * 11
         assert [e.index for e in outcome.trace[:3]] == [2, 5, 8]
-        assert all(instance.rows[e.index] is e.row for e in outcome.trace)
         expected = reference_pruned(reduced, Thresholds.for_parameters(2, 0))
-        assert [e.row for e in outcome.trace[3:]] == [e.row for e in expected]
+        pruned_rows = [instance.rows[e.index] for e in outcome.trace[3:]]
+        assert pruned_rows == [reduced.rows[e.index] for e in expected]
         assert any(e.index != f.index for e, f in zip(outcome.trace[3:], expected))
         assert outcome.answer and verify_solution(instance, outcome.witness).ok
 
@@ -865,3 +863,62 @@ def test_exhaustive_witness_is_grid_canonical():
             assert got.answer and got.witness == expected
             yes_cases += 1
     assert yes_cases > 20
+
+
+def least_pair(instance):
+    """Reference for `exhaustive_solve`: the least (completion matrix,
+    subset) over every k-subset and every completion of its rows, with the
+    rows outside the subset set to zeros; None when no subset is valid."""
+    zeros = [row.text.replace("?", "0") for row in instance.rows]
+
+    def completions(text):
+        for bits in itertools.product("01", repeat=text.count("?")):
+            fill = iter(bits)
+            yield "".join(next(fill) if c == "?" else c for c in text)
+
+    best = None
+    for subset in itertools.combinations(range(instance.n), instance.k):
+        options = [completions(instance.rows[i].text) for i in subset]
+        for texts in itertools.product(*options):
+            if all(
+                sum(x != y for x, y in zip(a, b)) > instance.r
+                for a, b in itertools.combinations(texts, 2)
+            ):
+                matrix = list(zeros)
+                for i, text in zip(subset, texts):
+                    matrix[i] = text
+                if best is None or (matrix, subset) < best:
+                    best = (matrix, subset)
+    return best
+
+
+def test_exhaustive_is_least_pair():
+    """`exhaustive_solve` returns the least (completion matrix, subset), also
+    when several subsets are valid under that least matrix (a tie)."""
+    rng = random.Random(5)
+    yes = ties = 0
+    for _ in range(3000):
+        n, d = rng.randint(0, 5), rng.randint(1, 3)
+        bases = ["".join(rng.choice("01?") for _ in range(d)) for _ in range(rng.randint(1, 3))]
+        rows = [
+            rng.choice(bases) if rng.random() < 0.5 else "".join(rng.choice("01?") for _ in range(d))
+            for _ in range(n)
+        ]
+        instance = inst(rows, rng.randint(0, 4), rng.randint(0, 2), d)
+        expected = least_pair(instance)
+        got = exhaustive_solve(instance)
+        if expected is None:
+            assert not got.answer
+            continue
+        matrix, subset = expected
+        assert got.witness == Solution(tuple(map(PartialVector, matrix)), frozenset(subset))
+        yes += 1
+        ties += any(
+            other != subset
+            and all(
+                sum(x != y for x, y in zip(matrix[a], matrix[b])) > instance.r
+                for a, b in itertools.combinations(other, 2)
+            )
+            for other in itertools.combinations(range(instance.n), instance.k)
+        )
+    assert yes >= 1000 and ties >= 400, (yes, ties)
