@@ -11,8 +11,10 @@ same tests up to the k-th pick and none after it.  While at least k * gate
 rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
 shows preserves the answer.  It tests each row pair once, keeps every
-neighborhood as an int bitset, and a prune only clears that row's bit;
-`find_prunable_row` is the checked public entry to the same pruning rule.
+neighborhood as an int bitset, and a prune only clears that row's bit.  A
+neighbor's signature against the crowded row is one int, a bitset the
+sunflower search reads as it is; `find_prunable_row` is the checked public
+entry to the same pruning rule.
 When no row can be pruned, and below the gate, the exact search decides: a
 k-clique search over the bitset graph of row pairs that can still reach
 distance r+1, in lexicographic order, skipping a clique whose pair distances,
@@ -40,6 +42,7 @@ from .vectors import (
     Instance,
     PartialVector,
     Solution,
+    _bit_indices,
     known_distance,
     neighborhood,
     verify_solution,
@@ -303,32 +306,22 @@ def greedy_attempt(instance: Instance) -> dict[int, PartialVector] | None:
     return None
 
 
-def row_signature(v: PartialVector, x: PartialVector) -> frozenset[tuple[str, int]]:
-    """Set representation of x relative to v over v's known coordinates.
+def _signature_key(v: PartialVector, x: PartialVector) -> tuple[int, int]:
+    """The signature of x relative to v, over v's known coordinates, as one
+    int, and its size alpha, the popcount.  The int is
+    `(differ << d) | unknown`: bit d-1-j is set when x is unknown at text
+    position j, and bit 2d-1-j when x is known there and differs from v.
 
-    Contains ("u", j) where x is unknown at j, and ("d", j) where x is known
-    and differs from v.  Positions are 0-based; coordinates where v itself is
-    unknown are skipped.  Built from the bit masks, so the cost follows the
-    signature's size rather than d.
+    So bit b stands for the pair ("d", 2d-1-b) or ("u", d-1-b), and
+    descending bits are the pairs in ascending (tag, position) order, "d"
+    before "u".  `find_sunflower` breaks frequency ties towards the highest
+    bit, the least pair, so the kernel prunes the rows that a search over
+    signatures as sets of such pairs, ties going to the least pair, prunes.
     """
-    d = v.d
-    (unknown, differ), _ = _signature_key(v, x)
-    elems = []
-    for tag, mask in (("u", unknown), ("d", differ)):
-        while mask:
-            low = mask & -mask
-            elems.append((tag, d - low.bit_length()))
-            mask ^= low
-    return frozenset(elems)
-
-
-def _signature_key(v: PartialVector, x: PartialVector) -> tuple[tuple[int, int], int]:
-    """`row_signature(v, x)` as its two masks, x's unknowns and x's
-    disagreements on v's known coordinates, and its size, their popcount
-    sum: equal keys mean equal signatures."""
     unknown = (v.ones | v.zeros) & ~(x.ones | x.zeros)
     differ = (x.ones & v.zeros) | (x.zeros & v.ones)
-    return (unknown, differ), unknown.bit_count() + differ.bit_count()
+    sig = (differ << v.d) | unknown
+    return sig, sig.bit_count()
 
 
 def _require_light(rows: Sequence[PartialVector], k: int, r: int) -> None:
@@ -358,31 +351,26 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     return _prunable_in(instance.rows, v_index, near_mask, thresholds.target, {})
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of a non-negative mask, ascending; one
-    pass over its binary text, whatever the number of set bits."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
 def _prunable_in(
     rows: Sequence[PartialVector],
     v_index: int,
     near: int,
     target: int,
-    memo: dict[int, dict[int, list]],
+    memo: dict[int, dict[int, tuple[tuple[int, int], int, int]]],
 ) -> int | None:
     """The pruning rule on row v_index's r-neighborhood `near`, a bitset of
     row indices; the lowest row of a sunflower, or None.
 
     Takes the largest class of neighbors that agree on the reference row's
     unknown coordinates (lowest first row on ties); in it only identical rows
-    share a `row_signature`.  The signatures are tabled by size alpha and
-    `_signature_key`.  The Erdos-Rado lemma counts distinct sets, so the
-    first alpha with strictly more than alpha! * (target-1)^alpha distinct
-    keys yields a sunflower of the target cardinality.  Only that table's
-    frozensets are built.  `memo[v_index][row]` keeps a row's class key,
-    signature key, alpha and frozenset, so each is made once per
-    (v_index, row) for as long as the caller keeps `memo`.
+    share a signature.  The signatures, ints from `_signature_key`, are
+    tabled by size alpha, each with the first row that has it.  The
+    Erdos-Rado lemma counts distinct sets, so the first alpha with strictly
+    more than alpha! * (target-1)^alpha distinct signatures yields a
+    sunflower of the target cardinality; `find_sunflower` searches that
+    table's signatures as they are.  `memo[v_index][row]` keeps a row's
+    class key, signature and alpha, so each is made once per (v_index, row)
+    for as long as the caller keeps `memo`.
     """
     v = rows[v_index]
     free = ~(v.ones | v.zeros)
@@ -392,28 +380,22 @@ def _prunable_in(
         entry = known.get(idx)
         if entry is None:
             row = rows[idx]
-            entry = known[idx] = [(row.ones & free, row.zeros & free), *_signature_key(v, row), None]
+            entry = known[idx] = ((row.ones & free, row.zeros & free), *_signature_key(v, row))
         classes.setdefault(entry[0], []).append(idx)
     biggest = max(classes.values(), key=lambda members: (len(members), -members[0]))
 
-    tables: dict[int, dict[tuple[int, int], int]] = {}
+    tables: dict[int, dict[int, int]] = {}
     for idx in biggest:
-        _, key, alpha, _ = known[idx]
-        tables.setdefault(alpha, {}).setdefault(key, idx)
+        _, sig, alpha = known[idx]
+        tables.setdefault(alpha, {}).setdefault(sig, idx)
 
     for alpha, table in sorted(tables.items()):
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
-        owners = tuple(table.values())
-        family = []
-        for idx in owners:
-            entry = known[idx]
-            if entry[3] is None:
-                entry[3] = row_signature(v, rows[idx])
-            family.append(entry[3])
-        flower = find_sunflower(SetFamily(tuple(family)), alpha, target)
+        flower = find_sunflower(SetFamily(tuple(table)), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
+        owners = tuple(table.values())
         return min(owners[i] for i in flower.member_indices)
     return None
 
@@ -652,7 +634,7 @@ def _kernel(
     neighbors' sets, and the sizes are their bit counts.  Pruning removes
     rows and leaves k and r alone, so the heavy-row precondition is checked
     once, on entry, and the pruning rule `_prunable_in` runs unchecked, with
-    one memo of signature keys and sets for the whole call.  Once every size
+    one memo of class keys and signatures for the whole call.  Once every size
     is below the gate, each greedy pick rules out fewer than gate rows, its
     neighborhood, so the scan makes k picks within the k * gate rows left.
     When no row can be pruned, the exact search takes the rows as they are:

@@ -1,39 +1,35 @@
 """Sunflower extraction in uniform set families.
 
 A sunflower is a subfamily whose members pairwise intersect in one common
-core; the members minus the core are the petals.  The search below is the
-classical recursive procedure: greedily collect a maximal pairwise-disjoint
-subfamily, and if that is too small, recurse on the sets containing the most
-frequent element.
+core; the members minus the core are the petals.  A set is an int bitset:
+element e is in it when bit e is set.  The search below is the classical
+recursive procedure: greedily collect a maximal pairwise-disjoint subfamily,
+and if that is too small, recurse on the sets containing the most frequent
+element.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable
 
 from .errors import ContractError
-
-ElementSet = FrozenSet[Hashable]
+from .vectors import _bit_indices
 
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Equal-cardinality subsets of some finite universe.  A sunflower names
-    its members by their positions here."""
+    """Equal-cardinality int bitsets.  A sunflower names its members by their
+    positions here."""
 
-    members: tuple[ElementSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(frozenset(s) for s in self.members))
+    members: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Sunflower:
     """Core plus the family positions of the participating members."""
 
-    core: ElementSet
+    core: int
     member_indices: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -46,40 +42,40 @@ def find_sunflower(family: SetFamily, b: int, a: int) -> Sunflower | None:
     Any family of more than b! * (a-1)^b pairwise-distinct members yields one
     (Erdos-Rado).  Repeated members do not count towards that size: {1}, {1},
     {2} with b=1, a=3 has no 3-member sunflower.  Other inputs may produce a
-    valid smaller sunflower or None.  Deterministic: ties are
-    broken towards the smallest element / lowest member index.  Runs in time
-    polynomial in the family size.
+    valid smaller sunflower or None.  Deterministic: the disjoint collection
+    takes members in index order, and among the most frequent elements the
+    recursion takes the highest bit.  `solver._signature_key` numbers the
+    kernel's elements so that the highest bit is the least (tag, position)
+    pair.  Runs in time polynomial in the family size.
     """
     if a < 1:
         raise ValueError("requested sunflower size must be at least 1")
     for i, s in enumerate(family.members):
-        if len(s) != b:
-            raise ContractError(f"member {i} has cardinality {len(s)}, expected uniform {b}")
+        if s < 0 or s.bit_count() != b:
+            raise ContractError(f"member {i} is not a bitset of {b} elements")
     if not family.members:
         return None
-    items = list(enumerate(family.members))
-    return _search(items, a, frozenset())
+    return _search(list(enumerate(family.members)), a, 0)
 
 
-def _search(items: list[tuple[int, ElementSet]], a: int, core: ElementSet) -> Sunflower:
+def _search(items: list[tuple[int, int]], a: int, core: int) -> Sunflower:
     if not items[0][1]:
         # All current sets are empty: every member equals the core exactly.
         chosen = items[: min(len(items), a)]
         return Sunflower(core, tuple(i for i, _ in chosen))
 
-    used: set[Hashable] = set()
+    used = 0
     disjoint: list[int] = []
     for i, s in items:
-        if used.isdisjoint(s):
+        if not used & s:
             disjoint.append(i)
-            used.update(s)
+            used |= s
     if len(disjoint) >= a:
         return Sunflower(core, tuple(disjoint))
 
     freq: Counter = Counter()
     for _, s in items:
-        freq.update(s)
-    top = max(freq.values())
-    element = min(e for e, c in freq.items() if c == top)
-    sub = [(i, s - {element}) for i, s in items if element in s]
-    return _search(sub, a, core | {element})
+        freq.update(_bit_indices(s))
+    bit = 1 << max(freq, key=lambda e: (freq[e], e))
+    sub = [(i, s ^ bit) for i, s in items if s & bit]
+    return _search(sub, a, core | bit)

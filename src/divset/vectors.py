@@ -110,6 +110,12 @@ def known_distance(a: PartialVector, b: PartialVector) -> int:
     return ((a.ones & b.zeros) | (a.zeros & b.ones)).bit_count()
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative mask, ascending; one
+    pass over its binary text, whatever the number of set bits."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ordered list of rows plus the target set size k, the distance

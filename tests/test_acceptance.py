@@ -160,7 +160,7 @@ def _uniform_family(rng, b, size):
     universe = list(range(1, 4 * b * 6 + 8))
     members, seen = [], set()
     while len(members) < size:
-        s = frozenset(rng.sample(universe, b))
+        s = sum(1 << e for e in rng.sample(universe, b))
         if s not in seen:
             seen.add(s)
             members.append(s)

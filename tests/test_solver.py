@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 import time
@@ -23,7 +25,6 @@ from divset.solver import (
     neighborhood_bound,
     neighborhood_gate,
     reduce,
-    row_signature,
     solve,
     sunflower_target,
 )
@@ -37,6 +38,9 @@ from divset.vectors import (
 )
 
 CAP = SATURATION_CAP
+
+# `TestPruning.test_prune_choices_pinned`'s digest of every row's pruning answer.
+PRUNE_CHOICES_DIGEST = "a6784922a72ba8c28610396887f06fe0cfabadb8dbcf51b456a47076f9261efb"
 
 
 def inst(texts, k, r, d=None):
@@ -270,11 +274,10 @@ def reference_pruned(instance, thresholds):
 
 
 class TestPruning:
-    def test_signature_construction(self):
-        sig = row_signature(PartialVector("0000"), PartialVector("1?00"))
-        assert sig == {("d", 0), ("u", 1)}
-
-    def test_signature_matches_character_walk(self):
+    def test_signature_key_matches_character_walk(self):
+        # Bit b >= d of a signature is ("d", 2d-1-b) and bit b < d is
+        # ("u", d-1-b), so descending bits are the pairs in ascending order:
+        # `find_sunflower` breaks ties towards the highest bit, the least pair.
         def reference(v, x):
             elems = set()
             for j, (vc, xc) in enumerate(zip(v.text, x.text)):
@@ -284,38 +287,56 @@ class TestPruning:
                     elems.add(("d", j))
             return elems
 
+        def decode(sig, d):
+            return [
+                ("d", 2 * d - 1 - b) if b >= d else ("u", d - 1 - b)
+                for b in reversed(range(2 * d))
+                if sig >> b & 1
+            ]
+
+        v, x = PartialVector("0000"), PartialVector("1?00")
+        assert solver._signature_key(v, x) == (0b1000_0100, 2)  # ("d", 0), ("u", 1)
         rng = random.Random(53)
         for _ in range(2000):
             d = rng.randint(0, 70)
             v, x = (
                 PartialVector("".join(rng.choice("01?") for _ in range(d))) for _ in range(2)
             )
-            assert row_signature(v, x) == reference(v, x), (v, x)
+            sig, alpha = solver._signature_key(v, x)
+            assert 0 <= sig < 1 << 2 * d, (v, x)
+            assert decode(sig, d) == sorted(reference(v, x)), (v, x)
+            assert alpha == sig.bit_count(), (v, x)
 
-    def test_signature_key_matches_signature(self):
-        # The kernel tables signatures by their masks; a key must stand for
-        # exactly one signature and carry its size.  Half the pairs are near
-        # copies, so equal signatures come up as well as distinct ones.
-        rng = random.Random(59)
-        same = 0
+    def test_prune_choices_pinned(self):
+        # Every row's `find_prunable_row` answer on 2,000 seeded families of
+        # near-copies of a base row, hashed.  A change to the signature
+        # encoding or to the sunflower search's tie-break that moves any
+        # prune fails here, even where `CORPUS_DIGEST` does not move.
+        rng = random.Random(0)
+        digest = hashlib.sha256()
+        counts = collections.Counter()
         for _ in range(2000):
-            d = rng.randint(0, 70)
-            v = PartialVector("".join(rng.choice("01?") for _ in range(d)))
-            xs = []
-            for _ in range(2):
-                if rng.random() < 0.5:
-                    cells = list(v.text)
-                    for j in rng.sample(range(d), min(d, rng.randint(0, 2))):
-                        cells[j] = rng.choice("01?")
-                    xs.append(PartialVector("".join(cells)))
-                else:
-                    xs.append(PartialVector("".join(rng.choice("01?") for _ in range(d))))
-            (key_a, alpha_a), (key_b, alpha_b) = (solver._signature_key(v, x) for x in xs)
-            sig_a, sig_b = (row_signature(v, x) for x in xs)
-            assert (key_a == key_b) == (sig_a == sig_b), (v, xs)
-            assert (alpha_a, alpha_b) == (len(sig_a), len(sig_b)), (v, xs)
-            same += sig_a == sig_b
-        assert same >= 100, same
+            d, n = rng.randint(2, 9), rng.randint(3, 25)
+            k, r = rng.randint(2, 3), rng.randint(0, 2)
+            base = [rng.choice("01") for _ in range(d)]
+            rows = []
+            for _ in range(n):
+                cells = list(base)
+                for j in rng.sample(range(d), rng.randint(0, min(d, r + 2))):
+                    cells[j] = rng.choice("01?")
+                rows.append("".join(cells))
+            instance = inst(rows, k, r, d)
+            th = Thresholds(rng.randint(1, 6), rng.randint(2, 4))
+            records = []
+            for i in range(n):
+                try:
+                    records.append(find_prunable_row(instance, i, th))
+                except (NotApplicableError, ContractError) as error:
+                    records.append(type(error).__name__)
+            digest.update(repr(records).encode())
+            counts.update("pruned" if isinstance(x, int) else str(x) for x in records)
+        assert counts == {"pruned": 11727, "None": 11914, "NotApplicableError": 4629}
+        assert digest.hexdigest() == PRUNE_CHOICES_DIGEST
 
     def test_unit_vector_family(self):
         instance = inst(["0000", "1000", "0100", "0010", "0001"], 2, 1)

@@ -16,17 +16,21 @@ def check_is_sunflower(family: SetFamily, flower: Sunflower):
         for j in range(i + 1, len(chosen)):
             assert chosen[i] & chosen[j] == flower.core
     for s in chosen:
-        assert flower.core <= s
+        assert flower.core & ~s == 0
+
+
+def bits(s):
+    return sum(1 << e for e in s)
 
 
 def fam(*sets):
-    return SetFamily(tuple(frozenset(s) for s in sets))
+    return SetFamily(tuple(bits(s) for s in sets))
 
 
 def test_shared_core():
     family = fam({1, 2}, {1, 3}, {1, 4})
     flower = find_sunflower(family, 2, 3)
-    assert flower.core == {1}
+    assert flower.core == bits({1})
     assert flower.member_indices == (0, 1, 2)
     check_is_sunflower(family, flower)
 
@@ -34,14 +38,14 @@ def test_shared_core():
 def test_disjoint_family():
     family = fam({1}, {2}, {3})
     flower = find_sunflower(family, 1, 3)
-    assert flower.core == frozenset()
+    assert flower.core == 0
     assert len(flower) == 3
 
 
 def test_empty_sets():
     family = fam(set(), set(), set())
     flower = find_sunflower(family, 0, 2)
-    assert flower.core == frozenset()
+    assert flower.core == 0
     assert flower.member_indices == (0, 1)
 
 
@@ -57,7 +61,7 @@ def test_non_uniform_rejected():
 def test_duplicate_members_form_trivial_sunflower():
     family = fam({1, 2}, {1, 2}, {1, 2})
     flower = find_sunflower(family, 2, 3)
-    assert flower.core == {1, 2}
+    assert flower.core == bits({1, 2})
     assert len(flower) == 3
     check_is_sunflower(family, flower)
 
@@ -70,7 +74,7 @@ def test_guarantee_at_derived_size():
     universe = list(range(60))
     members, seen = [], set()
     while len(members) < size:
-        s = frozenset(rng.sample(universe, b))
+        s = bits(rng.sample(universe, b))
         if s not in seen:
             seen.add(s)
             members.append(s)
@@ -78,6 +82,22 @@ def test_guarantee_at_derived_size():
     flower = find_sunflower(family, b, a)
     assert flower is not None and len(flower) >= a
     check_is_sunflower(family, flower)
+
+
+def test_tie_goes_to_the_highest_bit():
+    # Every later set meets {1, 2}, so the disjoint pass finds one member and
+    # the search recurses; elements 1 and 2 each lie in three sets, and the
+    # core takes the higher, 2.
+    family = fam({1, 2}, {1, 3}, {2, 3}, {2, 4}, {1, 4})
+    flower = find_sunflower(family, 2, 3)
+    assert flower.core == bits({2})
+    assert flower.member_indices == (0, 2, 3)
+    check_is_sunflower(family, flower)
+
+
+def test_negative_member_rejected():
+    with pytest.raises(ContractError):
+        find_sunflower(SetFamily((-1,)), 1, 1)
 
 
 def test_determinism():
@@ -96,7 +116,7 @@ def test_determinism():
     st.integers(1, 5),
 )
 def test_output_always_valid(members, a):
-    family = SetFamily(tuple(members))
+    family = SetFamily(tuple(map(bits, members)))
     flower = find_sunflower(family, 2, a)
     if flower is not None:
         assert len(flower) >= 1
