@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -176,6 +177,8 @@ _BENCH_CASES = [
     ("tight-yes", {"rows": 4, "d": 5, "k": 4, "r": 2, "density": 1.0}),
     ("tight-yes", {"rows": 4, "d": 6, "k": 4, "r": 3, "density": 1.0}),
     ("tight-yes", {"rows": 4, "d": 8, "k": 4, "r": 4, "density": 1.0}),
+    # A YES whose first clique settles it, at a depth the exact search walks.
+    ("deep", {"rows": 1500, "d": 64, "k": 200, "r": 0, "source": "deep"}),
 ]
 
 
@@ -183,7 +186,11 @@ def _bench_instance(seed: int, suite: str, index: int, case: dict) -> Instance:
     """A case's rows: random by `density`, or by its fixed `source`.  A
     "chain" is a random base row and its d copies with one ? each, shuffled;
     every pair sits at known distance 0, so at k=2, r=0 the certified kernel
-    prunes it down to k * gate - 1 = 53 rows."""
+    prunes it down to k * gate - 1 = 53 rows.  A "deep" case takes the first
+    rows of the shuffled C(d,2) all-0 rows with ? at two coordinates: every
+    pair is 0 apart as known and can reach 2, so greedy stops at one pick,
+    and at r=0 the first k rows are the exact search's first clique and a
+    YES."""
     rng = random.Random(f"{seed}:{suite}:{index}")
     d = case["d"]
     if case.get("source") == "chain":
@@ -192,6 +199,13 @@ def _bench_instance(seed: int, suite: str, index: int, case: dict) -> Instance:
         base = "".join(rng.choice("01") for _ in range(d))
         texts = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
         rng.shuffle(texts)
+    elif case.get("source") == "deep":
+        pairs = itertools.combinations(range(d), 2)
+        texts = ["".join("?" if c in pair else "0" for c in range(d)) for pair in pairs]
+        if case["rows"] > len(texts):
+            raise ValueError(f"d={d} gives {len(texts)} rows with two ?, not {case['rows']}")
+        rng.shuffle(texts)
+        texts = texts[: case["rows"]]
     else:
         texts = [
             "".join("?" if rng.random() < case["density"] else rng.choice("01") for _ in range(d))

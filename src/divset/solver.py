@@ -15,12 +15,13 @@ neighborhood as an int bitset, and a prune only clears that row's bit.  A
 neighbor's signature against the crowded row is one int, a bitset the
 sunflower search reads as it is; `find_prunable_row` is the checked public
 entry to the same pruning rule.
-When no row can be pruned, and below the gate, the exact search decides: a
-k-clique search over the bitset graph of row pairs that can still reach
-distance r+1, in lexicographic order, skipping a clique whose pair distances,
-or those of three of its rows, cannot sum to C(size,2)(r+1) (Plotkin's
-count), with completions tried in counting order and forward-checked.  It
-finds the same first (subset, completion) as a walk over all k-subsets.
+When no row can be pruned, and below the gate, the exact search decides: one
+loop walks the k-cliques of the bitset graph of row pairs that can still
+reach distance r+1, in lexicographic order, skipping a clique whose pair
+distances, or those of three of its rows, cannot sum to C(size,2)(r+1)
+(Plotkin's count), and a second loop tries completions in counting order,
+forward-checked.  Neither recurses, so the recursion limit does not cap k.
+It finds the same first (subset, completion) as a walk over all k-subsets.
 These stages return only their picks, and the kernel its prunes.  The trace
 holds each removal as (input index, kind), so `lift` maps a YES's picks to
 input indices, reads each removed heavy row from the input and completes it
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from time import perf_counter
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import ContractError, NotApplicableError, OracleLimitError
 from .sunflowers import SetFamily, find_sunflower
@@ -429,17 +430,19 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     Two rows are compatible when their guaranteed disagreements plus every
     coordinate unknown in at least one of them reach r+1; a valid subset is
     a k-clique of that graph.  Row a's compatible later rows are one int
-    bitset, built on first use.  The cliques come in
-    `itertools.combinations` order: take the lowest candidate, recurse on
-    the candidates after it that are compatible with it, and give up a level
-    once fewer candidates remain than rows are missing.  Third, Plotkin's
+    bitset, built on first use.  One loop yields the cliques in
+    `itertools.combinations` order: `levels[t]` holds the candidates for
+    `clique[t]`; it takes the top level's lowest, pushes the later ones
+    compatible with it, and pops a level once it holds fewer candidates
+    than rows are missing.  Third, Plotkin's
     count: a completion's pair distances sum, column by column, to the pairs
     each column splits, at most floor(k^2/4) where some row is unknown and
     the known disagreements elsewhere; a clique whose sum stays below
     C(k,2)(r+1), or holding three rows whose sum stays below 3(r+1), is
-    skipped.  The rest go to `_assign`.  All cuts only skip subsets or
-    completions that hold no solution, so the witness is the one a plain
-    walk over all subsets and completions finds first.
+    skipped; the triples are counted only when the pairs' slack says one
+    might fall short.  The rest go to `_assign`.  All cuts only skip
+    subsets or completions that hold no solution, so the witness is the
+    one a plain walk over all subsets and completions finds first.
     """
     k, r, d = instance.k, instance.r, instance.d
     rows, n = instance.rows, instance.n
@@ -467,7 +470,24 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
             completions[i] = _completion_masks(rows[i])
         return completions[i]
 
-    for subset in _cliques(k, (1 << n) - 1, later_of):
+    if k == 0:
+        return {}
+    clique: list[int] = []
+    levels = [(1 << n) - 1]
+    while levels:
+        cand = levels[-1]
+        if cand.bit_count() < k - len(clique):
+            levels.pop()
+            del clique[-1:]
+            continue
+        low = cand & -cand
+        levels[-1] = cand ^ low
+        v = low.bit_length() - 1
+        if len(clique) + 1 < k:
+            clique.append(v)
+            levels.append(levels[-1] & later_of(v))
+            continue
+        subset = [*clique, v]
         if _below_plotkin([rows[i] for i in subset], need):
             continue
         chosen = _assign([masks_of(i) for i in subset], need)
@@ -479,61 +499,75 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
 def _below_plotkin(clique: Sequence[PartialVector], need: int) -> bool:
     """True when the pair distances of the clique, or of three of its rows
     (counted over their own unknown columns), cannot sum to C(size,2) * need,
-    so no completion is pairwise `need` apart (`brute_force`'s third cut)."""
+    so no completion is pairwise `need` apart (`brute_force`'s third cut).
+
+    The C(k,3) triples are walked only when one might fall short.  Let b_xy
+    be a pair's best reachable distance: sure disagreements plus columns
+    unknown in either row.  In a triple, a column unknown in some row adds 2
+    to its count and at most 3 to the sum of its three b_xy (at most 1 per
+    pair); any other column adds the same to both.  So the count is at least
+    that sum minus |U|, U the columns unknown in some row of the three, and
+    |U| is at most three times the largest unknown count m of a clique row.
+    With slack = min b_xy - need over the clique's pairs, every triple
+    counts at least 3 * need + 3 * slack - 3 * m, so none falls short once
+    slack >= m."""
     k = len(clique)
     if k < 3:
         return False  # at k = 2 the bound is the pair filter
+    d = clique[0].d
     fixed = -1
     for row in clique:
         fixed &= row.ones | row.zeros
-    total = (clique[0].d - fixed.bit_count()) * (k * k // 4)
+    total = (d - fixed.bit_count()) * (k * k // 4)
     for a, b in itertools.combinations(clique, 2):
         total += (((a.ones & b.zeros) | (a.zeros & b.ones)) & fixed).bit_count()
     if total < k * (k - 1) // 2 * need:
         return True
-    return k > 3 and any(_below_plotkin(t, need) for t in itertools.combinations(clique, 3))
-
-
-def _cliques(size: int, cand: int, later_of) -> Iterator[list[int]]:
-    """Every `size`-subset of the candidate bitset whose members are pairwise
-    compatible (`later_of(v)` is the bitset of v's compatible later rows),
-    in `itertools.combinations` order."""
-    if size == 0:
-        yield []
-        return
-    while cand.bit_count() >= size:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        rest = cand & later_of(v) if size > 1 else 0
-        for tail in _cliques(size - 1, rest, later_of):
-            yield [v, *tail]
+    if k == 3:
+        return False
+    slack = min(
+        ((a.ones & b.zeros) | (a.zeros & b.ones)).bit_count()
+        + d - ((a.ones | a.zeros) & (b.ones | b.zeros)).bit_count()
+        for a, b in itertools.combinations(clique, 2)
+    ) - need
+    if slack >= max(row.unknown_count for row in clique):
+        return False
+    return any(_below_plotkin(t, need) for t in itertools.combinations(clique, 3))
 
 
 def _assign(options: list[list[int]], need: int) -> list[int] | None:
     """One completion per row, pairwise at distance >= need, or None.
 
-    Depth-first in counting order: the first row takes its completions in
-    order, and each choice narrows every later row's list to the masks still
-    `need` away from it, keeping their order.  A choice that empties a list
-    is skipped, since no completion of the remaining rows can follow it.  So
-    the result is the first tuple in counting order, as a plain depth-first
-    walk that checks each mask against the earlier choices would return.
+    Depth-first in counting order, one loop over `levels`: level t holds
+    the lists of rows t.., narrowed to the masks still `need` away from
+    every earlier choice in their order, and an iterator over row t's
+    untried masks.  A choice that empties a later list is skipped, since no
+    completion of the remaining rows can follow it.  So the result is the
+    first tuple in counting order, as a plain depth-first walk that checks
+    each mask against the earlier choices would return.
     """
     if not options:
         return []
-    first, rest = options[0], options[1:]
-    for mask in first:
-        narrowed = []
-        for masks in rest:
-            kept = [m for m in masks if (m ^ mask).bit_count() >= need]
-            if not kept:
+    chosen: list[int] = []
+    levels = [(options, iter(options[0]))]
+    while levels:
+        lists, untried = levels[-1]
+        for mask in untried:
+            if len(lists) == 1:
+                return [*chosen, mask]
+            narrowed = []
+            for masks in lists[1:]:
+                kept = [m for m in masks if (m ^ mask).bit_count() >= need]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
+                chosen.append(mask)
+                levels.append((narrowed, iter(narrowed[0])))
                 break
-            narrowed.append(kept)
         else:
-            tail = _assign(narrowed, need)
-            if tail is not None:
-                return [mask, *tail]
+            levels.pop()
+            del chosen[-1:]
     return None
 
 

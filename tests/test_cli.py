@@ -9,8 +9,8 @@ import pytest
 
 import divset
 from divset.cli import _BENCH_CASES, _bench_instance, _digest, main
-from divset.solver import neighborhood_gate
-from divset.vectors import serialize_instance
+from divset.solver import neighborhood_gate, solve
+from divset.vectors import serialize_instance, verify_solution
 
 
 # Every character str.isspace() accepts other than the blanks that separate
@@ -531,6 +531,24 @@ class TestBench:
         with pytest.raises(ValueError, match="has 81 rows, not 80"):
             _bench_instance(1, "kernel", 16, case)
 
+    def test_deep_case_rows_must_fit_its_width(self):
+        case = {"rows": 2017, "d": 64, "k": 200, "r": 0, "source": "deep"}
+        with pytest.raises(ValueError, match="d=64 gives 2016 rows with two \\?, not 2017"):
+            _bench_instance(0, "deep", 23, case)
+
+    def test_deep_case_answers_under_the_default_recursion_limit(self):
+        # The deep case at k=1200: the first 1,200 rows are the first clique
+        # and a YES, deeper than the recursion limit, so a search that took
+        # one Python frame per clique row would stop with RecursionError.
+        limit = sys.getrecursionlimit()
+        assert limit < 1200
+        (index,) = [i for i, (suite, _) in enumerate(_BENCH_CASES) if suite == "deep"]
+        instance = _bench_instance(0, "deep", index, {**_BENCH_CASES[index][1], "k": 1200})
+        outcome = solve(instance)
+        assert (outcome.answer, outcome.method) == (True, "brute-force")
+        assert verify_solution(instance, outcome.witness).ok
+        assert sys.getrecursionlimit() == limit
+
     @pytest.mark.parametrize("seed", ["1_0", "\u0667", "-3"])
     def test_seed_takes_ascii_decimals_only(self, capsys, seed):
         # `int` would read these as 10, 7 and -3.
@@ -546,7 +564,7 @@ class TestBench:
         # solving.  Seed 0's first 16 are the ones committed in BENCH_4.json
         # and BENCH_5.json, so a changed case, seed or generator shows here;
         # the 17th is the kernel chain, then hard-no and tight-yes, whose
-        # all-? rows do not depend on the seed.
+        # all-? rows do not depend on the seed, then the deep case.
         hard = [
             "2aa31d188726997f", "a519a21286da852f", "992f5d6252c80a31",
             "fbf028adac05d4fa", "3ca62cc5c69d0ad3", "6619b0fea4f39342",
@@ -557,14 +575,14 @@ class TestBench:
                 "664d69be14e2b58b", "63941e65d33db6ef", "21be3874494fee94", "a73016e9d0fea8ff",
                 "60ecee1463476e2b", "645f43b0dadfb41f", "6904bb11fc19671f", "2d90e83787c5a4c2",
                 "bef2d8c1c49a7e9e", "5efd108c47d271d5", "6b4f1835e7c762c2", "0defa2c2f2aa509e",
-                "8f9bf5bd8fa6de9e", *hard,
+                "8f9bf5bd8fa6de9e", *hard, "41e314b37f3bc524",
             ],
             7: [
                 "3da14ad9ce7250e4", "a5780534080e00b3", "942f2012f012bb82", "758597a81b3845e8",
                 "885ff9aa8f10f1b8", "f34018d3ee6cda65", "743664ec80ddfe60", "ed33925d2c681ce5",
                 "3f134048fd14bba2", "b00ae2237a8c2522", "88094f92df936547", "ad3f649e5b1033a2",
                 "faafb63d8f018b90", "0bc982d156081bec", "7275ccd93d7eecf4", "0405995aed36093b",
-                "61ab9a028f8196ee", *hard,
+                "61ab9a028f8196ee", *hard, "c9bbfd547ce75e14",
             ],
         }
         for seed, digests in pinned.items():

@@ -581,6 +581,45 @@ class TestBruteForce:
         monkeypatch.setattr(solver, "_assign", fail)
         assert brute_force(instance) is None
 
+    def test_slack_gate_skips_only_walks_that_refuse_nothing(self):
+        # `_below_plotkin` against the count with every triple walked, both
+        # by a walk over characters.  Each clique's rows hold m ? each, so
+        # the gate (min pair reach - need >= m) skips the walk on many
+        # cliques and leaves it on many, and some refused cliques sit one
+        # short of the gate, where a gate off by one would let them through.
+        def short(rows, need):
+            k, total = len(rows), 0
+            for column in zip(*(v.text for v in rows)):
+                total += k * k // 4 if "?" in column else column.count("0") * column.count("1")
+            return total < k * (k - 1) // 2 * need
+
+        def reach(a, b):
+            return sum(x != y or "?" in (x, y) for x, y in zip(a.text, b.text))
+
+        rng = random.Random(26)
+        seen = dict.fromkeys(("skipped", "walked", "one short"), 0)
+        cliques = 0
+        while cliques < 3000:
+            k, r = rng.randint(4, 7), rng.randint(0, 5)
+            d, m = rng.randint(4, 10), rng.randint(1, 3)
+            clique = []
+            for _ in range(k):
+                cells = [rng.choice("01") for _ in range(d)]
+                for j in rng.sample(range(d), m):
+                    cells[j] = "?"
+                clique.append(PartialVector("".join(cells)))
+            if not is_clique(clique, r):
+                continue
+            cliques += 1
+            whole = short(clique, r + 1)
+            refused = whole or any(short(t, r + 1) for t in itertools.combinations(clique, 3))
+            assert solver._below_plotkin(clique, r + 1) == refused, [v.text for v in clique]
+            slack = min(reach(a, b) for a, b in itertools.combinations(clique, 2)) - (r + 1)
+            if not whole:
+                seen["skipped" if slack >= m else "walked"] += 1
+                seen["one short"] += slack == m - 1 and refused
+        assert seen["skipped"] >= 1000 and seen["walked"] >= 1000 and seen["one short"] >= 30, seen
+
 
 class TestExhaustive:
     def test_single_wildcard(self):
