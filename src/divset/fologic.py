@@ -3,10 +3,12 @@ relativizing rewriter that transfers a sentence from a graph to its
 subdivide-once-plus-leaf embedding.
 
 The evaluator compiles a formula once per call into nested closures.  A
-quantifier guarded by an adjacency atom ranges over the neighbours of the
-guard's other variable instead of all vertices, and every quantifier
-memoises its result by the values of its free variables; the memo lives
-for one call.
+quantifier guarded by an adjacency atom, any conjunct of the top-level
+conjunction of its body (or of its implication's antecedent, for "forall"),
+ranges over the neighbours of the guard's other variable instead of all
+vertices: the classifier's "exists z. (~z=x & E(y,z))" visits y's
+neighbours only.  Every quantifier memoises its result by the values of its
+free variables; the memo lives for one call.
 
 Concrete syntax:
 
@@ -242,12 +244,17 @@ def parse_formula(text: str, *, require_sentence: bool = True) -> Formula:
 
 
 def _guard(f: Formula, var: str) -> str | None:
-    """The variable a of the atom E(a,var) or E(var,a), a != var, that is the
-    leftmost conjunct of f, or None if there is no such atom."""
-    while isinstance(f, And):
-        f = f.left
-    if isinstance(f, Adjacent) and (f.x == var) != (f.y == var):
-        return f.y if f.x == var else f.x
+    """The variable a of the first atom E(a,var) or E(var,a), a != var, that
+    is any conjunct of the top-level conjunction f, or None if there is no
+    such atom.  Conjuncts are read left to right, descending through "&"
+    only: an atom under "~", "|", "->" or a quantifier is not a conjunct."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        elif isinstance(f, Adjacent) and (f.x == var) != (f.y == var):
+            return f.y if f.x == var else f.x
     return None
 
 
@@ -261,12 +268,12 @@ def evaluate(graph: Graph, phi: Formula, binding: dict[str, int] | None = None) 
     Sentences only, unless `binding` assigns a vertex 1..n to every free
     variable.  The formula is compiled once per call into nested closures,
     one per node.  A guarded quantifier ranges over the neighbours of a
-    only: "exists v" whose body's leftmost conjunct is E(a,v) or E(v,a),
-    and "forall v" whose body is an implication whose antecedent's
-    leftmost conjunct is such an atom, a != v in both.  Any other vertex
-    makes that conjunction false.  Every other quantifier ranges over all n
-    vertices.  Each quantifier memoises its result by the values of its
-    free variables; the memo lives for one call.
+    only: "exists v" whose body has E(a,v) or E(v,a) as any conjunct of its
+    top-level conjunction, and "forall v" whose body is an implication
+    whose antecedent has such an atom as any conjunct, a != v in both.  Any
+    other vertex makes that conjunction false.  Every other quantifier
+    ranges over all n vertices.  Each quantifier memoises its result by the
+    values of its free variables; the memo lives for one call.
     """
     binding = binding or {}
     unbound = free_variables(phi) - binding.keys()

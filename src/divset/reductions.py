@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, DimensionMismatch, ParseError
 from .solver import exhaustive_solve
-from .vectors import Instance, PartialVector, known_distance
+from .vectors import Instance, PartialVector
 from .vectors import content_lines, read_decimals, read_header
 
 
@@ -178,14 +178,22 @@ def subdivided_with_leaves(graph: Graph) -> Graph:
 
 def distance_graph(rows: Sequence[PartialVector], r: int) -> Graph:
     """Graph on the row indices (as vertices 1..len) with an edge wherever the
-    Hamming distance lies in [1, r].  Rows must be fully known."""
+    Hamming distance lies in [1, r], edges in ascending pair order.  Rows
+    must be fully known and as long as row 0.  A complete row's known ones
+    are the whole row, so the distance of two rows is the popcount of the
+    XOR of their `ones` masks."""
     for i, row in enumerate(rows):
         if not row.is_complete:
             raise ContractError(f"row {i} contains unknown entries")
+    for row in rows[1:]:
+        if row.d != rows[0].d:
+            raise DimensionMismatch(f"vector length {rows[0].d} vs {row.d}")
+    masks = [row.ones for row in rows]
     edges = []
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        if 1 <= known_distance(rows[i], rows[j]) <= r:
-            edges.append((i + 1, j + 1))
+    for i, a in enumerate(masks, start=1):
+        for j, b in enumerate(masks[i:], start=i + 1):
+            if 1 <= (a ^ b).bit_count() <= r:
+                edges.append((i, j))
     return Graph(len(rows), tuple(edges))
 
 

@@ -15,6 +15,7 @@ from divset.fologic import (
     Implies,
     Not,
     Or,
+    _guard,
     embedding_transfer_report,
     evaluate,
     formula_size,
@@ -157,6 +158,28 @@ class TestEvaluate:
             with pytest.raises(ContractError, match="y="):
                 evaluate(K2, phi, {"x": 1, "y": value})
 
+    def test_right_conjunct_guard_visits_neighbours_only(self):
+        # On a perfect matching each x has one neighbour y, whose only
+        # neighbour is x again, so the sentence is false.  Guarded by E(y,z),
+        # the inner quantifier reads y's neighbours: a few lookups per x.
+        # Ranging over all n vertices instead takes about n^2.
+        calls = [0]
+
+        class CountingAdjacency(dict):
+            def get(self, vertex, default=None):
+                calls[0] += 1
+                return super().get(vertex, default)
+
+        class CountingGraph(Graph):
+            def adjacency(self):
+                return CountingAdjacency(super().adjacency())
+
+        n = 2000
+        matching = CountingGraph(n, tuple((v, v + 1) for v in range(1, n, 2)))
+        phi = parse_formula("exists x. exists y. (E(x,y) & exists z. (~z=x & E(y,z)))")
+        assert evaluate(matching, phi) is False
+        assert calls[0] < 10 * n
+
     def test_agrees_with_expansion_evaluator(self):
         rng = random.Random(8)
         sentences = [
@@ -214,6 +237,29 @@ class TestRewrittenAgainstOracle:
         "forall x. forall w. (exists y. (E(x,y) & forall z. (E(y,z) -> z=x)) | ~E(x,w))",
     )
 
+    # Kept apart from SHAPES, whose rewrites `test_rewrites_pinned` hashes.
+    # A guard may be any conjunct of the top-level conjunction: these hold
+    # one as a right or deeper conjunct, or an atom that looks like one and
+    # is not.
+    CONJUNCT_SHAPES = (
+        # a guard as the right conjunct, deep in a right-nested conjunction,
+        # and as the right conjunct of a universal's antecedent
+        "forall x. exists y. (~x=y & E(x,y))",
+        "forall x. exists y. (~y=x & (~exists z. (E(y,z) & ~z=x) & (x=x & E(y,x))))",
+        "exists x. forall y. ((~x=y & E(y,x)) -> exists z. (~z=x & E(y,z)))",
+        # an atom under "~", "|" or "->" inside a conjunction
+        "exists x. exists y. (~x=y & ~E(x,y))",
+        "forall x. exists y. (~x=y & (E(x,y) | x=x))",
+        "forall x. exists y. (~x=y & (E(x,y) -> x=x))",
+        # E(v,v) as a right conjunct
+        "exists x. forall y. ((~x=y & E(y,y)) -> ~x=x)",
+        # an atom inside a conjunct that is a quantifier rebinding the guard
+        # variable x
+        "exists x. exists y. (~x=y & exists x. E(x,y))",
+        # the atom in the consequent, with a conjunction as the antecedent
+        "exists x. forall y. ((~x=y & x=x) -> E(x,y))",
+    )
+
     @staticmethod
     def graphs(seed, count):
         rng = random.Random(seed)
@@ -223,7 +269,8 @@ class TestRewrittenAgainstOracle:
             yield Graph(n, tuple(rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))))
 
     def test_rewritten_sentences(self):
-        phis = [parse_formula(text) for text in self.SENTENCES + self.SHAPES]
+        texts = self.SENTENCES + self.SHAPES + self.CONJUNCT_SHAPES
+        phis = [parse_formula(text) for text in texts]
         for g in self.graphs(31, 12):
             embedded = distance_graph(hypercube_embedding(g), 1)
             for phi in phis:
@@ -231,7 +278,7 @@ class TestRewrittenAgainstOracle:
                 assert evaluate(embedded, rewritten) == tt_evaluate(embedded, rewritten), (g, phi)
 
     def test_shapes_as_written(self):
-        phis = [parse_formula(text) for text in self.SHAPES]
+        phis = [parse_formula(text) for text in self.SHAPES + self.CONJUNCT_SHAPES]
         for g in self.graphs(32, 20):
             embedded = distance_graph(hypercube_embedding(g), 1)
             for graph in (g, embedded):
@@ -242,6 +289,13 @@ class TestRewrittenAgainstOracle:
 class TestClassifier:
     def test_default_has_one_free_variable(self):
         assert free_variables(vertex_classifier("x", "y", "z")) == {"x"}
+
+    def test_both_quantifiers_are_guarded(self):
+        cls = vertex_classifier("x", "y", "z")
+        inner = cls.body.right
+        assert _guard(cls.body.left, "y") == "x"
+        # E(y,z) is the right conjunct of exists z. (~z=x & E(y,z))
+        assert _guard(inner.body, "z") == "y"
 
     def test_on_embedded_k2(self):
         g = distance_graph(hypercube_embedding(K2), 1)

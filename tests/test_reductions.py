@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from divset.errors import ContractError, ParseError
+from divset.errors import ContractError, DimensionMismatch, ParseError
 from divset.reductions import (
     Graph,
     distance_graph,
@@ -225,3 +225,29 @@ class TestDistanceGraph:
     def test_rejects_unknowns(self):
         with pytest.raises(ContractError):
             distance_graph([PartialVector("0?")], 1)
+
+    def test_matches_pairwise_known_distance(self):
+        # Rows drawn from a small pool repeat, so distance 0 occurs.
+        rng = random.Random(27)
+        zero_pairs = 0
+        for d in range(1, 13):
+            for r in range(4):
+                for _ in range(5):
+                    pool = ["".join(rng.choice("01") for _ in range(d)) for _ in range(4)]
+                    rows = [PartialVector(rng.choice(pool)) for _ in range(rng.randint(0, 10))]
+                    distances = {
+                        (i + 1, j + 1): known_distance(rows[i], rows[j])
+                        for i, j in itertools.combinations(range(len(rows)), 2)
+                    }
+                    zero_pairs += list(distances.values()).count(0)
+                    expected = tuple(pair for pair, dist in distances.items() if 1 <= dist <= r)
+                    assert distance_graph(rows, r).edges == expected, (rows, r)
+        assert zero_pairs > 0
+
+    def test_unknowns_reported_before_a_length_mismatch(self):
+        with pytest.raises(ContractError, match=r"^row 2 contains unknown entries$"):
+            distance_graph([PartialVector("01"), PartialVector("011"), PartialVector("0?")], 1)
+        # The first row whose length differs from row 0's is named.
+        rows = [PartialVector(t) for t in ("01", "10", "011", "1")]
+        with pytest.raises(DimensionMismatch, match=r"^vector length 2 vs 3$"):
+            distance_graph(rows, 1)
