@@ -38,7 +38,7 @@ from .reductions import (
     independent_set_to_r2,
     parse_graph,
 )
-from .solver import exhaustive_solve, solve
+from .solver import SolveOutcome, exhaustive_solve, solve
 from .vectors import (
     Instance,
     PartialVector,
@@ -71,6 +71,11 @@ def _write_report(path: str | None, report: dict) -> None:
         Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _trace_summary(outcome: SolveOutcome) -> dict[str, int]:
+    """The removals by kind, as the `solve` and `bench` reports give them."""
+    return dict(Counter(event.kind for event in outcome.trace))
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     text = _read(args.instance)
     instance = parse_instance(text)
@@ -86,7 +91,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "flags": {"oracle": args.oracle},
         "answer": "YES" if outcome.answer else "NO",
         "method": outcome.method,
-        "trace_summary": dict(Counter(event.kind for event in outcome.trace)),
+        "trace_summary": _trace_summary(outcome),
         "stats": dict(outcome.stats),
         "timings": {
             "total_seconds": elapsed,
@@ -246,6 +251,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "digest": digest,
                 "answer": "YES" if outcome.answer else "NO",
                 "method": outcome.method,
+                "trace_summary": _trace_summary(outcome),
                 "stats": dict(outcome.stats),
                 "seconds": elapsed,
                 "stages": {name: seconds for name, seconds in outcome.stage_seconds},

@@ -11,10 +11,12 @@ same tests up to the k-th pick and none after it.  While at least k * gate
 rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
 shows preserves the answer.  It tests each row pair once, keeps every
-neighborhood as an int bitset, and a prune only clears that row's bit.  A
-neighbor's signature against the crowded row is one int, a bitset the
+neighborhood as an int bitset and its size as a count, and keeps a crowded
+row's classes and signature tables across prunes: a prune clears the row's
+bit, decrements its neighbors' sizes and takes it out of every kept state.
+A neighbor's signature against the crowded row is one int, a bitset the
 sunflower search reads as it is; `find_prunable_row` is the checked public
-entry to the same pruning rule.
+entry to the same pruning rule, on a state built fresh.
 When no row can be pruned, and below the gate, the exact search decides: one
 loop walks the k-cliques of the bitset graph of row pairs that can still
 reach distance r+1, in lexicographic order, skipping a clique whose pair
@@ -338,8 +340,8 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     Preconditions, checked with NotApplicableError: every row has at most
     (k-1)(r+1) unknowns and the given row's r-neighborhood reaches the gate.
     Past them this is a thin wrapper: it hands the neighborhood, as a bitset
-    of row indices, to `_prunable_in`, the one pruning rule, which `_kernel`
-    calls directly on the neighborhood bitsets it keeps.  None means no
+    of row indices, to `_prunable_in`, the one pruning rule, with a fresh
+    memo; `_kernel` calls it directly, with the states it keeps.  None means no
     signature size holds enough distinct signatures for a sunflower of the
     target size, and the caller hands the rows to the exact search.
     """
@@ -352,12 +354,66 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     return _prunable_in(instance.rows, v_index, near_mask, thresholds.target, {})
 
 
+# A reference row's kept state: each neighbor's (class key, signature,
+# alpha); each class as its rows, ascending; and, for each class tabled so
+# far, its signature tables by ascending alpha, each mapping a signature to
+# its rows, ascending, in ascending order of their first row, the owner.
+_Key = tuple[int, int]
+_State = tuple[
+    dict[int, tuple[_Key, int, int]],
+    dict[_Key, list[int]],
+    dict[_Key, dict[int, dict[int, list[int]]]],
+]
+
+
+def _reference_state(rows: Sequence[PartialVector], v_index: int, near: int) -> _State:
+    """Row v_index's state over its r-neighborhood `near`, no class tabled."""
+    v = rows[v_index]
+    free = ~(v.ones | v.zeros)
+    entries: dict[int, tuple[_Key, int, int]] = {}
+    classes: dict[_Key, list[int]] = {}
+    for idx in _bit_indices(near):
+        row = rows[idx]
+        key = (row.ones & free, row.zeros & free)
+        entries[idx] = (key, *_signature_key(v, row))
+        classes.setdefault(key, []).append(idx)
+    return entries, classes, {}
+
+
+def _signature_tables(
+    entries: dict[int, tuple[_Key, int, int]], members: list[int]
+) -> dict[int, dict[int, list[int]]]:
+    """One class's signature tables, alpha ascending."""
+    tables: dict[int, dict[int, list[int]]] = {}
+    for idx in members:
+        _, sig, alpha = entries[idx]
+        tables.setdefault(alpha, {}).setdefault(sig, []).append(idx)
+    return dict(sorted(tables.items()))
+
+
+def _forget(state: _State, f: int) -> None:
+    """Take pruned row f out of a state that holds it.  An emptied class
+    goes; when f owned a signature that a copy of f shares, the copy takes
+    over and its table goes back to ascending owner order.  The tables of
+    an emptied class, and a table emptied, stay: no call reads them."""
+    entries, classes, tabled = state
+    key, sig, alpha = entries.pop(f)
+    members = classes[key]
+    members.remove(f)
+    if not members:
+        del classes[key]
+    elif key in tabled:
+        tables = tabled[key]
+        same = tables[alpha][sig]
+        same.remove(f)
+        if not same:
+            del tables[alpha][sig]
+        elif same[0] > f:
+            tables[alpha] = dict(sorted(tables[alpha].items(), key=lambda item: item[1][0]))
+
+
 def _prunable_in(
-    rows: Sequence[PartialVector],
-    v_index: int,
-    near: int,
-    target: int,
-    memo: dict[int, dict[int, tuple[tuple[int, int], int, int]]],
+    rows: Sequence[PartialVector], v_index: int, near: int, target: int, memo: dict[int, _State]
 ) -> int | None:
     """The pruning rule on row v_index's r-neighborhood `near`, a bitset of
     row indices; the lowest row of a sunflower, or None.
@@ -369,34 +425,28 @@ def _prunable_in(
     Erdos-Rado lemma counts distinct sets, so the first alpha with strictly
     more than alpha! * (target-1)^alpha distinct signatures yields a
     sunflower of the target cardinality; `find_sunflower` searches that
-    table's signatures as they are.  `memo[v_index][row]` keeps a row's
-    class key, signature and alpha, so each is made once per (v_index, row)
-    for as long as the caller keeps `memo`.
+    table's signatures as they are.  `memo[v_index]` keeps the row's state:
+    it is built from `near` on first use, and a class is tabled the first
+    time it is the largest.  Later calls read the state and ignore `near`,
+    so a caller that keeps `memo` across prunes must `_forget` each pruned
+    row in every state that holds it, as `_kernel` does.
     """
-    v = rows[v_index]
-    free = ~(v.ones | v.zeros)
-    known = memo.setdefault(v_index, {})
-    classes: dict[tuple[int, int], list[int]] = {}
-    for idx in _bit_indices(near):
-        entry = known.get(idx)
-        if entry is None:
-            row = rows[idx]
-            entry = known[idx] = ((row.ones & free, row.zeros & free), *_signature_key(v, row))
-        classes.setdefault(entry[0], []).append(idx)
-    biggest = max(classes.values(), key=lambda members: (len(members), -members[0]))
+    state = memo.get(v_index)
+    if state is None:
+        state = memo[v_index] = _reference_state(rows, v_index, near)
+    entries, classes, tabled = state
+    key, biggest = max(classes.items(), key=lambda item: (len(item[1]), -item[1][0]))
+    tables = tabled.get(key)
+    if tables is None:
+        tables = tabled[key] = _signature_tables(entries, biggest)
 
-    tables: dict[int, dict[int, int]] = {}
-    for idx in biggest:
-        _, sig, alpha = known[idx]
-        tables.setdefault(alpha, {}).setdefault(sig, idx)
-
-    for alpha, table in sorted(tables.items()):
+    for alpha, table in tables.items():
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
         flower = find_sunflower(SetFamily(tuple(table)), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
-        owners = tuple(table.values())
+        owners = [same[0] for same in table.values()]
         return min(owners[i] for i in flower.member_indices)
     return None
 
@@ -664,11 +714,13 @@ def _kernel(
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
     neighborhoods are int bitsets over the rows `current` enters with, from
-    n(n-1)/2 pair tests made once; a prune only clears its row's bit from its
-    neighbors' sets, and the sizes are their bit counts.  Pruning removes
-    rows and leaves k and r alone, so the heavy-row precondition is checked
-    once, on entry, and the pruning rule `_prunable_in` runs unchecked, with
-    one memo of class keys and signatures for the whole call.  Once every size
+    n(n-1)/2 pair tests made once, and their sizes are counts.  A prune
+    clears its row's bit from its neighbors' sets, decrements their sizes
+    and `_forget`s the row in the kept state of each neighbor that has one.
+    Pruning removes rows and leaves k and r alone, so the heavy-row
+    precondition is checked once, on entry, and the pruning rule
+    `_prunable_in` runs unchecked, with one memo of reference-row states
+    for the whole call, each built on a row's first use.  Once every size
     is below the gate, each greedy pick rules out fewer than gate rows, its
     neighborhood, so the scan makes k picks within the k * gate rows left.
     When no row can be pruned, the exact search takes the rows as they are:
@@ -681,17 +733,16 @@ def _kernel(
     if current.n >= k * thresholds.gate:
         _require_light(rows, k, r)
         near = _neighborhood_masks(rows, r)
+        size = [mask.bit_count() for mask in near]
         alive = list(range(current.n))
-        memo: dict[int, dict[int, list]] = {}
+        memo: dict[int, _State] = {}
         while len(alive) >= k * thresholds.gate:
-            sizes = [near[i].bit_count() for i in alive]
-            biggest = max(sizes)
-            if biggest < thresholds.gate:
+            v = max(alive, key=size.__getitem__)
+            if size[v] < thresholds.gate:
                 picks = greedy_attempt(_survivors(current, alive))
                 if picks is None:
                     raise ContractError("greedy ran out of rows despite the size preconditions")
                 return picks, "greedy-bounded", pruned
-            v = alive[sizes.index(biggest)]
             f = _prunable_in(rows, v, near[v], thresholds.target, memo)
             if f is None:
                 break
@@ -700,6 +751,9 @@ def _kernel(
             keep = ~(1 << f)
             for j in _bit_indices(near[f]):
                 near[j] &= keep
+                size[j] -= 1
+                if j in memo:
+                    _forget(memo[j], f)
         current = _survivors(current, alive)
     return brute_force(current), "brute-force", pruned
 

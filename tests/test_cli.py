@@ -507,12 +507,13 @@ class TestBench:
         assert [s["rows_in"] for s in stats[0]] == [12, 12, 12]
 
     def test_kernel_suite_reaches_the_certified_kernel(self, tmp_path, capsys):
-        # 81 chain rows against k * gate = 54: the kernel prunes to 53 rows
-        # and the exact search answers YES.
+        # 81 chain rows against k * gate = 54: the kernel prunes 28 rows, to
+        # 53, and the exact search answers YES.
         report = tmp_path / "kernel.json"
         assert main(["bench", "--only", "kernel", "--report", str(report)]) == 0
         (case,) = json.loads(report.read_text())["cases"]
         assert (case["answer"], case["method"]) == ("YES", "brute-force")
+        assert case["trace_summary"] == {"pruned": 28}
         assert case["stats"] == {"rows_in": 81, "rows_reduced": 81, "k_reduced": 2, "kernel_rows": 54}
         assert " chain 8f9bf5bd8fa6de9e brute-force " in capsys.readouterr().out
 

@@ -273,6 +273,54 @@ def reference_pruned(instance, thresholds):
     return pruned
 
 
+def solve_checking_kept_states(monkeypatch, instance):
+    """`solve(instance)`, checking before each pruning call of `_kernel` and
+    after its last one that the state it keeps for each row not pruned
+    equals one built fresh from the row's neighborhood among the rows not
+    yet pruned: entries, classes, the tabled classes' tables with their
+    owners, and the order of their keys.  The tables of an emptied class,
+    and an emptied table, are left out: no call reads them.  Returns the
+    outcome and the number of prunes that took a signature's owner whose
+    copy stayed in a kept table."""
+    real = solver._prunable_in
+    gone, copies, last = 0, 0, []
+
+    def listed(tables):
+        return [(alpha, list(table.items())) for alpha, table in tables.items() if table]
+
+    def check(rows, memo):
+        near = solver._neighborhood_masks(rows, instance.r)
+        for w, (entries, classes, tabled) in memo.items():
+            if gone >> w & 1:
+                continue
+            fresh_entries, fresh_classes, _ = solver._reference_state(rows, w, near[w] & ~gone)
+            assert (entries, classes) == (fresh_entries, fresh_classes), w
+            for key in tabled.keys() & classes.keys():
+                fresh = solver._signature_tables(entries, classes[key])
+                assert listed(tabled[key]) == listed(fresh), (w, key)
+
+    def prunable_in(rows, v_index, near, target, memo):
+        nonlocal gone, copies
+        check(rows, memo)
+        f = real(rows, v_index, near, target, memo)
+        if f is not None:
+            gone |= 1 << f
+            for w, (entries, _, tabled) in memo.items():
+                if w != f and f in entries:
+                    key, sig, alpha = entries[f]
+                    same = tabled.get(key, {}).get(alpha, {}).get(sig, [])
+                    copies += len(same) > 1 and same[0] == f
+        last[:] = [rows, memo]
+        return f
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_prunable_in", prunable_in)
+        outcome = solve(instance)
+    if last:
+        check(*last)
+    return outcome, copies
+
+
 class TestPruning:
     def test_signature_key_matches_character_walk(self):
         # Bit b >= d of a signature is ("d", 2d-1-b) and bit b < d is
@@ -751,32 +799,57 @@ class TestSolve:
         assert verify_solution(instance, outcome.witness).ok
         assert exhaustive_solve(instance, max_rows=instance.n).answer
 
+    @staticmethod
+    def two_centres(rng, copied):
+        """The unit family around 0^d, plus the one-flip neighbours of a
+        second centre 1110...0 at distance 3, shuffled; then `copied` of the
+        flips get one or two copies each, so no row has more than k=3."""
+        d = rng.randint(8, 11)
+        centres = ["0" * d, "111" + "0" * (d - 3)]
+        rows = []
+        for centre in centres:
+            for i in rng.sample(range(d), rng.randint(5, 7)):
+                rows.append(centre[:i] + str(1 - int(centre[i])) + centre[i + 1 :])
+        for text in rng.sample(rows, copied):
+            rows += [text] * rng.randint(1, 2)
+        rng.shuffle(rows)
+        return inst(centres + rows, 3, 1, d)
+
     def test_kernel_prunes_like_full_recompute(self, monkeypatch):
-        # The unit family around 0^d, plus the one-flip neighbours of a second
-        # centre 1110...0 at distance 3.  Greedy picks the two centres and runs
-        # out of rows, the largest neighborhood moves between them as rows are
-        # pruned, and some rows sit exactly r+1 from the pruned ones, so stale
-        # or misapplied neighborhood sizes change which rows go.
+        # Greedy picks the two centres and runs out of rows, the largest
+        # neighborhood moves between them as rows are pruned, and some rows
+        # sit exactly r+1 from the pruned ones, so stale or misapplied
+        # neighborhood sizes change which rows go.
         rng = random.Random(1)
         thresholds = Thresholds(4, 3)
         patch_gates(monkeypatch, 4, 3)
         chains = 0
         for _ in range(30):
-            d = rng.randint(8, 11)
-            centres = ["0" * d, "111" + "0" * (d - 3)]
-            rows = []
-            for centre in centres:
-                for i in rng.sample(range(d), rng.randint(5, 7)):
-                    rows.append(centre[:i] + str(1 - int(centre[i])) + centre[i + 1 :])
-            rng.shuffle(rows)
-            instance = inst(centres + rows, 3, 1, d)
-            outcome = solve(instance)
+            instance = self.two_centres(rng, 0)
+            outcome, _ = solve_checking_kept_states(monkeypatch, instance)
             assert list(outcome.trace) == reference_pruned(instance, thresholds)
             expected = exhaustive_solve(instance, max_rows=instance.n)
             assert outcome.answer == expected.answer
             assert verify_solution(instance, outcome.witness).ok
             chains += len(outcome.trace) >= 2
         assert chains >= 25
+
+    def test_kernel_prunes_like_full_recompute_with_copies(self, monkeypatch):
+        # Copies share their row's signature, so pruning a signature's owner
+        # hands the signature to its copy in the kept tables, a later row
+        # that must take the owner's place in the tables' key order.
+        rng = random.Random(2)
+        thresholds = Thresholds(4, 3)
+        patch_gates(monkeypatch, 4, 3)
+        handed = 0
+        for _ in range(30):
+            instance = self.two_centres(rng, 3)
+            outcome, copies = solve_checking_kept_states(monkeypatch, instance)
+            assert list(outcome.trace) == reference_pruned(instance, thresholds)
+            assert outcome.answer == exhaustive_solve(instance, max_rows=instance.n).answer
+            assert verify_solution(instance, outcome.witness).ok
+            handed += copies
+        assert handed >= 60
 
     def test_kernel_hands_unpruned_rows_over_as_they_are(self, monkeypatch):
         # The zero row's neighborhood reaches gate 5, but target 40 needs
@@ -796,7 +869,7 @@ class TestSolve:
         assert len(seen) == 2 and seen[1] is seen[0]
 
     @pytest.mark.parametrize("d, pruned", [(53, 1), (60, 8), (80, 28)])
-    def test_certified_kernel_prunes_chain(self, d, pruned):
+    def test_certified_kernel_prunes_chain(self, monkeypatch, d, pruned):
         # A base row and its d copies with one ? each, k=2, r=0: every pair
         # sits at known distance 0, so greedy fails and every neighborhood
         # reaches the certified gate 27.  The kernel prunes down to 53 rows,
@@ -806,7 +879,7 @@ class TestSolve:
         rows = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
         rng.shuffle(rows)
         instance = inst(rows, 2, 0, d)
-        outcome = solve(instance)
+        outcome, _ = solve_checking_kept_states(monkeypatch, instance)
         assert [e.kind for e in outcome.trace] == [PRUNED] * pruned
         assert list(outcome.trace) == reference_pruned(instance, Thresholds.for_parameters(2, 0))
         assert dict(outcome.stats)["kernel_rows"] == 54
