@@ -258,10 +258,6 @@ def _guard(f: Formula, var: str) -> str | None:
     return None
 
 
-def _no_key(slots: list[int]) -> None:
-    return None
-
-
 def evaluate(graph: Graph, phi: Formula, binding: dict[str, int] | None = None) -> bool:
     """Standard semantics over the graph's symmetric irreflexive adjacency.
 
@@ -325,7 +321,7 @@ def evaluate(graph: Graph, phi: Formula, binding: dict[str, int] | None = None) 
         else:
             guard = _guard(f.body.left, f.var) if isinstance(f.body, Implies) else None
         g = None if guard is None else scope[guard]
-        key = itemgetter(*sorted(reads)) if reads else _no_key
+        key = itemgetter(*sorted(reads)) if reads else lambda slots: None
         memo: dict = {}
 
         def quantifier() -> bool:

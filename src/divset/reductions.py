@@ -210,12 +210,12 @@ def has_independent_set(graph: Graph, k: int) -> bool:
     return False
 
 
-def r2_equivalence_report(graph: Graph, ks: Sequence[int] = (1, 2)) -> dict:
+def r2_equivalence_report(graph: Graph) -> dict:
     """Compare exhaustive independent-set answers with the exhaustive solver
     on both r=2 encodings; agreement is recorded per cell, never asserted."""
     cells = []
     for mode in ("verbatim", "disjoint_pairs"):
-        for k in ks:
+        for k in (1, 2):
             instance = independent_set_to_r2(graph, k, mode)
             expected = has_independent_set(graph, k)
             outcome = exhaustive_solve(instance, max_rows=instance.n)

@@ -33,6 +33,7 @@ against them, and completes the rest to zeros; the witness is verified.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -479,8 +480,9 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
 
     Two rows are compatible when their guaranteed disagreements plus every
     coordinate unknown in at least one of them reach r+1; a valid subset is
-    a k-clique of that graph.  Row a's compatible later rows are one int
-    bitset, built on first use.  One loop yields the cliques in
+    a k-clique of that graph.  Row a's compatible later rows (one int
+    bitset) and a row's completion masks are built on first use and cached
+    for the rest of the call.  One loop yields the cliques in
     `itertools.combinations` order: `levels[t]` holds the candidates for
     `clique[t]`; it takes the top level's lowest, pushes the later ones
     compatible with it, and pops a level once it holds fewer candidates
@@ -498,27 +500,23 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     rows, n = instance.rows, instance.n
     need = r + 1
     unknown_masks = [((1 << row.d) - 1) ^ (row.ones | row.zeros) for row in rows]
-    later: dict[int, int] = {}
-    completions: dict[int, list[int]] = {}
 
+    @functools.cache
     def later_of(a: int) -> int:
-        if a not in later:
-            ra, ua = rows[a], unknown_masks[a]
-            bits = 0
-            for b in range(a + 1, n):
-                rb = rows[b]
-                sure = ((ra.ones & rb.zeros) | (ra.zeros & rb.ones)).bit_count()
-                # Best reachable distance: guaranteed disagreements plus every
-                # coordinate unknown in at least one of the two rows.
-                if sure + (ua | unknown_masks[b]).bit_count() >= need:
-                    bits |= 1 << b
-            later[a] = bits
-        return later[a]
+        ra, ua = rows[a], unknown_masks[a]
+        bits = 0
+        for b in range(a + 1, n):
+            rb = rows[b]
+            sure = ((ra.ones & rb.zeros) | (ra.zeros & rb.ones)).bit_count()
+            # Best reachable distance: guaranteed disagreements plus every
+            # coordinate unknown in at least one of the two rows.
+            if sure + (ua | unknown_masks[b]).bit_count() >= need:
+                bits |= 1 << b
+        return bits
 
+    @functools.cache
     def masks_of(i: int) -> list[int]:
-        if i not in completions:
-            completions[i] = _completion_masks(rows[i])
-        return completions[i]
+        return _completion_masks(rows[i])
 
     if k == 0:
         return {}
@@ -596,8 +594,6 @@ def _assign(options: list[list[int]], need: int) -> list[int] | None:
     first tuple in counting order, as a plain depth-first walk that checks
     each mask against the earlier choices would return.
     """
-    if not options:
-        return []
     chosen: list[int] = []
     levels = [(options, iter(options[0]))]
     while levels:

@@ -266,7 +266,7 @@ def test_criterion_08_r2_agreement_report(tmp_path):
         all_edges = list(itertools.combinations(range(1, n + 1), 2))
         m = rng.randint(0, min(6, len(all_edges)))
         g = Graph(n, tuple(sorted(rng.sample(all_edges, m))))
-        record = r2_equivalence_report(g, ks=(1, 2))
+        record = r2_equivalence_report(g)
         assert len(record["cells"]) == 4
         for cell in record["cells"]:
             for key in ("mode", "k", "independent_set", "diversity", "agree"):

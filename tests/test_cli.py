@@ -517,6 +517,22 @@ class TestBench:
         assert case["stats"] == {"rows_in": 81, "rows_reduced": 81, "k_reduced": 2, "kernel_rows": 54}
         assert " chain 8f9bf5bd8fa6de9e brute-force " in capsys.readouterr().out
 
+    def test_solve_report_shares_the_bench_record(self, tmp_path):
+        # The kernel case's instance written out and solved by `solve
+        # --report`: the fields both reports share agree.
+        (index,) = [i for i, (suite, _) in enumerate(_BENCH_CASES) if suite == "kernel"]
+        instance = write(
+            tmp_path / "kernel.inst",
+            serialize_instance(_bench_instance(0, "kernel", index, _BENCH_CASES[index][1])),
+        )
+        solved, benched = tmp_path / "solve.json", tmp_path / "bench.json"
+        assert main(["solve", instance, "--output", str(tmp_path / "kernel.sol"), "--report", str(solved)]) == 0
+        assert main(["bench", "--only", "kernel", "--report", str(benched)]) == 0
+        (case,) = json.loads(benched.read_text())["cases"]
+        report = json.loads(solved.read_text())
+        fields = ("answer", "method", "trace_summary", "stats")
+        assert [report[f] for f in fields] == [case[f] for f in fields]
+
     def test_hard_suites_answer_by_construction(self, tmp_path):
         # k = A(d, r+1) + 1 all-? rows cannot be completed; k = A(d, r+1) can.
         for suite, answer in (("hard-no", "NO"), ("tight-yes", "YES")):

@@ -171,7 +171,7 @@ class TestR2Encoding:
             independent_set_to_r2(K2, 1, "other")
 
     def test_report_populates_every_cell(self):
-        report = r2_equivalence_report(P3, ks=(1, 2))
+        report = r2_equivalence_report(P3)
         assert len(report["cells"]) == 4
         for cell in report["cells"]:
             assert isinstance(cell["independent_set"], bool)

@@ -668,6 +668,37 @@ class TestBruteForce:
                 seen["one short"] += slack == m - 1 and refused
         assert seen["skipped"] >= 1000 and seen["walked"] >= 1000 and seen["one short"] >= 30, seen
 
+    @pytest.mark.parametrize(
+        "texts, k, r, cliques",
+        [
+            # The bench's first hard-no case: one clique of five all-? rows,
+            # whose `_assign` walk opens 3,393 levels in about 7 ms.
+            (["?????"] * 5, 5, 2, 1),
+            # Four 4-cliques of these seven rows fail in `_assign`, 16 rows
+            # in all, so rows recur across its calls.
+            (["??0110", "01??10", "?1??1?", "1?0100", "?000??", "??01??", "10000?"], 4, 3, 4),
+        ],
+    )
+    def test_completions_built_once_per_row(self, monkeypatch, texts, k, r, cliques):
+        instance = inst(texts, k, r)
+        built = collections.Counter()
+        calls = []
+        complete, assign = solver._completion_masks, solver._assign
+
+        def counted_complete(row):
+            built[id(row)] += 1
+            return complete(row)
+
+        def counted_assign(options, need):
+            calls.append(len(options))
+            return assign(options, need)
+
+        monkeypatch.setattr(solver, "_completion_masks", counted_complete)
+        monkeypatch.setattr(solver, "_assign", counted_assign)
+        assert brute_force(instance) is None
+        assert calls == [k] * cliques
+        assert set(built.values()) == {1}
+
 
 class TestExhaustive:
     def test_single_wildcard(self):
