@@ -186,6 +186,8 @@ _BENCH_CASES = [
     ("tight-yes", {"rows": 4, "d": 8, "k": 4, "r": 4, "density": 1.0}),
     # A YES whose first clique settles it, at a depth the exact search walks.
     ("deep", {"rows": 1500, "d": 64, "k": 200, "r": 0, "source": "deep"}),
+    # The chain at d=200, which the kernel prunes by 148 rows.
+    ("long-chain", {"rows": 201, "d": 200, "k": 2, "r": 0, "source": "chain"}),
 ]
 # Each case is timed as the fastest of this many solves; a single solve of a
 # case under 10 ms swings by a third on a shared machine.

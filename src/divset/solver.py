@@ -10,10 +10,11 @@ r-neighborhood" (pick t is the first row alive after round t-1), with the
 same tests up to the k-th pick and none after it.  While at least k * gate
 rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
-shows preserves the answer.  It tests each row pair once, keeps every
-neighborhood as an int bitset and its size as a count, and keeps a crowded
-row's classes and signature tables across prunes: a prune clears the row's
-bit, decrements its neighbors' sizes and takes it out of every kept state.
+shows preserves the answer.  It builds every neighborhood once, as an int
+bitset, from buckets of rows by completion rather than a test per row pair,
+keeps its size as a count, and keeps a crowded row's classes and signature
+tables across prunes: a prune clears the row's bit, decrements its
+neighbors' sizes and takes it out of every kept state.
 A neighbor's signature against the crowded row is one int, a bitset the
 sunflower search reads as it is; `find_prunable_row` is the checked public
 entry to the same pruning rule, on a state built fresh.
@@ -688,18 +689,41 @@ def _first_valid_profile(
 
 def _neighborhood_masks(rows: Sequence[PartialVector], r: int) -> list[int]:
     """Each row's r-neighborhood as a bitset of row indices, itself included,
-    from one known-distance test per unordered pair."""
-    ones = [row.ones for row in rows]
-    zeros = [row.zeros for row in rows]
-    masks = [1 << i for i in range(len(rows))]
-    for i in range(len(rows)):
-        oi, zi, acc = ones[i], zeros[i], masks[i]
-        for j in range(i + 1, len(rows)):
-            if ((oi & zeros[j]) | (zi & ones[j])).bit_count() <= r:
-                acc |= 1 << j
-                masks[j] |= 1 << i
-        masks[i] = acc
-    return masks
+    from completion buckets: `holders` maps each completion mask to the
+    bitset of rows that hold it, and a row's neighborhood is the OR of
+    `holders[x ^ f]` over its completions x and the flip masks f of weight
+    at most r.
+
+    Two rows sit at known distance <= r exactly when some completion of one
+    is within Hamming distance r of some completion of the other: every
+    completion pair differs where both rows are known and differ, and
+    filling each unknown to agree with the other row differs nowhere else.
+
+    The kernel checks first that no row has more than u = (k-1)(r+1)
+    unknowns, so each row makes at most 2^u * V(d, r) lookups, V(d, r) the
+    number of masks of weight <= r.  At every (k, r), k >= 2, whose gate
+    lets the kernel run, that is at most k * gate <= n for every d <= 100,000,
+    where the pair loop it replaces tested each row against n-1 others.
+    """
+    d = rows[0].d if rows else 0
+    flips = [
+        sum(1 << b for b in bits)
+        for w in range(r + 1)
+        for bits in itertools.combinations(range(d), w)
+    ]
+    completions = [_completion_masks(row) for row in rows]
+    holders: dict[int, int] = {}
+    for i, masks in enumerate(completions):
+        for x in masks:
+            holders[x] = holders.get(x, 0) | 1 << i
+    near = []
+    for masks in completions:
+        acc = 0
+        for x in masks:
+            for f in flips:
+                acc |= holders.get(x ^ f, 0)
+        near.append(acc)
+    return near
 
 
 def _kernel(
@@ -709,8 +733,8 @@ def _kernel(
     the pruned rows' positions in `current`, in the order they were pruned.
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
-    neighborhoods are int bitsets over the rows `current` enters with, from
-    n(n-1)/2 pair tests made once, and their sizes are counts.  A prune
+    neighborhoods are int bitsets over the rows `current` enters with, built
+    once by `_neighborhood_masks`, and their sizes are counts.  A prune
     clears its row's bit from its neighbors' sets, decrements their sizes
     and `_forget`s the row in the kept state of each neighbor that has one.
     Pruning removes rows and leaves k and r alone, so the heavy-row

@@ -517,6 +517,16 @@ class TestBench:
         assert case["stats"] == {"rows_in": 81, "rows_reduced": 81, "k_reduced": 2, "kernel_rows": 54}
         assert " chain 8f9bf5bd8fa6de9e brute-force " in capsys.readouterr().out
 
+    def test_long_chain_suite_prunes_down_to_the_gate(self, tmp_path):
+        # 201 chain rows against k * gate = 54: the kernel prunes 148 rows,
+        # to 53, and `--only kernel` does not select this case.
+        report = tmp_path / "long.json"
+        assert main(["bench", "--only", "long-chain", "--report", str(report)]) == 0
+        (case,) = json.loads(report.read_text())["cases"]
+        assert (case["suite"], case["answer"], case["method"]) == ("long-chain", "YES", "brute-force")
+        assert case["trace_summary"] == {"pruned": 148}
+        assert case["stats"] == {"rows_in": 201, "rows_reduced": 201, "k_reduced": 2, "kernel_rows": 54}
+
     def test_solve_report_shares_the_bench_record(self, tmp_path):
         # The kernel case's instance written out and solved by `solve
         # --report`: the fields both reports share agree.
@@ -581,7 +591,8 @@ class TestBench:
         # solving.  Seed 0's first 16 are the ones committed in BENCH_4.json
         # and BENCH_5.json, so a changed case, seed or generator shows here;
         # the 17th is the kernel chain, then hard-no and tight-yes, whose
-        # all-? rows do not depend on the seed, then the deep case.
+        # all-? rows do not depend on the seed, then the deep case and the
+        # long chain.
         hard = [
             "2aa31d188726997f", "a519a21286da852f", "992f5d6252c80a31",
             "fbf028adac05d4fa", "3ca62cc5c69d0ad3", "6619b0fea4f39342",
@@ -592,14 +603,14 @@ class TestBench:
                 "664d69be14e2b58b", "63941e65d33db6ef", "21be3874494fee94", "a73016e9d0fea8ff",
                 "60ecee1463476e2b", "645f43b0dadfb41f", "6904bb11fc19671f", "2d90e83787c5a4c2",
                 "bef2d8c1c49a7e9e", "5efd108c47d271d5", "6b4f1835e7c762c2", "0defa2c2f2aa509e",
-                "8f9bf5bd8fa6de9e", *hard, "41e314b37f3bc524",
+                "8f9bf5bd8fa6de9e", *hard, "41e314b37f3bc524", "a55993ebf88dcf92",
             ],
             7: [
                 "3da14ad9ce7250e4", "a5780534080e00b3", "942f2012f012bb82", "758597a81b3845e8",
                 "885ff9aa8f10f1b8", "f34018d3ee6cda65", "743664ec80ddfe60", "ed33925d2c681ce5",
                 "3f134048fd14bba2", "b00ae2237a8c2522", "88094f92df936547", "ad3f649e5b1033a2",
                 "faafb63d8f018b90", "0bc982d156081bec", "7275ccd93d7eecf4", "0405995aed36093b",
-                "61ab9a028f8196ee", *hard, "c9bbfd547ce75e14",
+                "61ab9a028f8196ee", *hard, "c9bbfd547ce75e14", "c31bef4b969ad443",
             ],
         }
         for seed, digests in pinned.items():

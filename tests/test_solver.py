@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -454,6 +455,73 @@ def is_clique(rows, r):
     )
 
 
+def pairwise_neighborhoods(rows, r):
+    """Each row's r-neighborhood by its definition: the rows at known
+    distance <= r from it, itself included."""
+    return [sum(1 << j for j, b in enumerate(rows) if known_distance(a, b) <= r) for a in rows]
+
+
+def chain_rows(rng, d):
+    """A base row and its d copies with one ? each, shuffled."""
+    base = "".join(rng.choice("01") for _ in range(d))
+    rows = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestNeighborhoodMasks:
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_matches_pairwise_known_distance(self, r):
+        # Light rows at k=3 around a few centres, at most r+1 flips away:
+        # complete rows, copies and rows at the budget of 2(r+1) unknowns.
+        rng = random.Random(r)
+        budget = 2 * (r + 1)
+        for _ in range(60):
+            d = rng.randint(1, 9)
+            centres = [[rng.choice("01") for _ in range(d)] for _ in range(rng.randint(1, 3))]
+            texts = []
+            for _ in range(rng.randint(1, 14)):
+                cells = list(rng.choice(centres))
+                for j in rng.sample(range(d), rng.randint(0, min(d, r + 1))):
+                    cells[j] = "10"[int(cells[j])]
+                unknowns = rng.choice([0, min(d, budget), rng.randint(0, min(d, budget))])
+                for j in rng.sample(range(d), unknowns):
+                    cells[j] = "?"
+                texts.append("".join(cells))
+            texts += rng.sample(texts, rng.randint(0, len(texts)))
+            rows = inst(texts, 3, r, d).rows
+            assert solver._neighborhood_masks(rows, r) == pairwise_neighborhoods(rows, r), texts
+
+    @pytest.mark.parametrize("texts, r", [(["0?1"], 1), (["0", "1", "?", "0"], 0), (["0", "1", "?"], 1)])
+    def test_one_row_and_one_column(self, texts, r):
+        rows = inst(texts, 2, r).rows
+        assert solver._neighborhood_masks(rows, r) == pairwise_neighborhoods(rows, r)
+
+    def test_matches_pairwise_on_the_801_row_chain(self):
+        rows = inst(chain_rows(random.Random(801), 800), 2, 0).rows
+        near = solver._neighborhood_masks(rows, 0)
+        assert near == pairwise_neighborhoods(rows, 0)
+        assert all(mask == (1 << 801) - 1 for mask in near)
+
+    def test_lookups_within_the_pair_tests_they_replace(self):
+        # The docstring's cost claim.  At every (k, r) whose gate lets the
+        # kernel run (k >= 2: below that greedy decides alone), a row with
+        # at most 2^((k-1)(r+1)) completions makes at most k * gate <= n
+        # lookups over the V(d, r) flips of weight <= r at d = 100,000,
+        # where the pair loop tested it against the n-1 other rows.
+        def volume(d, r):
+            return sum(math.comb(d, w) for w in range(r + 1))
+
+        runs = []
+        for k in range(2, 64):
+            for r in range(64):
+                gate = neighborhood_gate(k, r)
+                if gate < CAP:
+                    assert 2 ** ((k - 1) * (r + 1)) * volume(100_000, r) <= k * gate, (k, r)
+                    runs.append((k, r))
+        assert runs == [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (4, 0), (5, 0), (6, 0)]
+
+
 class TestBruteForce:
     def test_no_when_distance_unreachable(self):
         assert brute_force(inst(["00", "01"], 2, 1)) is None
@@ -905,11 +973,7 @@ class TestSolve:
         # sits at known distance 0, so greedy fails and every neighborhood
         # reaches the certified gate 27.  The kernel prunes down to 53 rows,
         # below k * gate = 54, and the exact search decides.
-        rng = random.Random(d)
-        base = "".join(rng.choice("01") for _ in range(d))
-        rows = [base] + [base[:i] + "?" + base[i + 1 :] for i in range(d)]
-        rng.shuffle(rows)
-        instance = inst(rows, 2, 0, d)
+        instance = inst(chain_rows(random.Random(d), d), 2, 0, d)
         outcome, _ = solve_checking_kept_states(monkeypatch, instance)
         assert [e.kind for e in outcome.trace] == [PRUNED] * pruned
         assert list(outcome.trace) == reference_pruned(instance, Thresholds.for_parameters(2, 0))
