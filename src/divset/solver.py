@@ -12,12 +12,13 @@ rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
 shows preserves the answer.  It builds every neighborhood once, as an int
 bitset, from buckets of rows by completion rather than a test per row pair,
-keeps its size as a count, and keeps a crowded row's classes and signature
-tables across prunes: a prune clears the row's bit, decrements its
-neighbors' sizes and takes it out of every kept state.
-A neighbor's signature against the crowded row is one int, a bitset the
-sunflower search reads as it is; `find_prunable_row` is the checked public
-entry to the same pruning rule, on a state built fresh.
+and keeps its size as a count.  It builds a crowded row's classes and signature
+tables whole on the row's first use and keeps them across prunes: a prune
+clears the row's bit, decrements its neighbors' sizes and takes it out of
+every kept state.  A neighbor's signature against the crowded row is one
+int, a bitset the sunflower search reads as it is, and the owner of the
+sunflower's first member is the row pruned; `find_prunable_row` is the
+checked public entry to the same pruning rule, on a state built fresh.
 When no row can be pruned, and below the gate, the exact search decides: one
 loop walks the k-cliques of the bitset graph of row pairs that can still
 reach distance r+1, in lexicographic order, skipping a clique whose pair
@@ -357,9 +358,9 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
 
 
 # A reference row's kept state: each neighbor's (class key, signature,
-# alpha); each class as its rows, ascending; and, for each class tabled so
-# far, its signature tables by ascending alpha, each mapping a signature to
-# its rows, ascending, in ascending order of their first row, the owner.
+# alpha); each class as its rows, ascending; and each class's signature
+# tables by ascending alpha, each mapping a signature to its rows,
+# ascending, in ascending order of their first row, the owner.
 _Key = tuple[int, int]
 _State = tuple[
     dict[int, tuple[_Key, int, int]],
@@ -369,28 +370,23 @@ _State = tuple[
 
 
 def _reference_state(rows: Sequence[PartialVector], v_index: int, near: int) -> _State:
-    """Row v_index's state over its r-neighborhood `near`, no class tabled."""
+    """Row v_index's state over its r-neighborhood `near`, every class
+    tabled.  The rows come in ascending order, so each table lists its
+    signatures in ascending owner order."""
     v = rows[v_index]
     free = ~(v.ones | v.zeros)
     entries: dict[int, tuple[_Key, int, int]] = {}
     classes: dict[_Key, list[int]] = {}
+    tables: dict[_Key, dict[int, dict[int, list[int]]]] = {}
     for idx in _bit_indices(near):
         row = rows[idx]
         key = (row.ones & free, row.zeros & free)
-        entries[idx] = (key, *_signature_key(v, row))
+        sig, alpha = _signature_key(v, row)
+        entries[idx] = (key, sig, alpha)
         classes.setdefault(key, []).append(idx)
-    return entries, classes, {}
-
-
-def _signature_tables(
-    entries: dict[int, tuple[_Key, int, int]], members: list[int]
-) -> dict[int, dict[int, list[int]]]:
-    """One class's signature tables, alpha ascending."""
-    tables: dict[int, dict[int, list[int]]] = {}
-    for idx in members:
-        _, sig, alpha = entries[idx]
-        tables.setdefault(alpha, {}).setdefault(sig, []).append(idx)
-    return dict(sorted(tables.items()))
+        tables.setdefault(key, {}).setdefault(alpha, {}).setdefault(sig, []).append(idx)
+    sorted_tables = {key: dict(sorted(by_alpha.items())) for key, by_alpha in tables.items()}
+    return entries, classes, sorted_tables
 
 
 def _forget(state: _State, f: int) -> None:
@@ -398,20 +394,19 @@ def _forget(state: _State, f: int) -> None:
     goes; when f owned a signature that a copy of f shares, the copy takes
     over and its table goes back to ascending owner order.  The tables of
     an emptied class, and a table emptied, stay: no call reads them."""
-    entries, classes, tabled = state
+    entries, classes, tables = state
     key, sig, alpha = entries.pop(f)
     members = classes[key]
     members.remove(f)
     if not members:
         del classes[key]
-    elif key in tabled:
-        tables = tabled[key]
-        same = tables[alpha][sig]
-        same.remove(f)
-        if not same:
-            del tables[alpha][sig]
-        elif same[0] > f:
-            tables[alpha] = dict(sorted(tables[alpha].items(), key=lambda item: item[1][0]))
+    table = tables[key][alpha]
+    same = table[sig]
+    same.remove(f)
+    if not same:
+        del table[sig]
+    elif same[0] > f:
+        tables[key][alpha] = dict(sorted(table.items(), key=lambda item: item[1][0]))
 
 
 def _prunable_in(
@@ -427,29 +422,27 @@ def _prunable_in(
     Erdos-Rado lemma counts distinct sets, so the first alpha with strictly
     more than alpha! * (target-1)^alpha distinct signatures yields a
     sunflower of the target cardinality; `find_sunflower` searches that
-    table's signatures as they are.  `memo[v_index]` keeps the row's state:
-    it is built from `near` on first use, and a class is tabled the first
-    time it is the largest.  Later calls read the state and ignore `near`,
-    so a caller that keeps `memo` across prunes must `_forget` each pruned
-    row in every state that holds it, as `_kernel` does.
+    table's signatures as they are.  The table lists them in ascending owner
+    order and `find_sunflower` its members in ascending position, so the
+    first member's owner is the least owner among them, the row pruned.
+    `memo[v_index]` keeps the row's state: it is built from `near` on first
+    use, and later calls read it and ignore `near`, so a caller that keeps
+    `memo` across prunes must `_forget` each pruned row in every state that
+    holds it, as `_kernel` does.
     """
     state = memo.get(v_index)
     if state is None:
         state = memo[v_index] = _reference_state(rows, v_index, near)
-    entries, classes, tabled = state
-    key, biggest = max(classes.items(), key=lambda item: (len(item[1]), -item[1][0]))
-    tables = tabled.get(key)
-    if tables is None:
-        tables = tabled[key] = _signature_tables(entries, biggest)
-
-    for alpha, table in tables.items():
+    _, classes, tables = state
+    key, _ = max(classes.items(), key=lambda item: (len(item[1]), -item[1][0]))
+    for alpha, table in tables[key].items():
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
             continue
-        flower = find_sunflower(SetFamily(tuple(table)), alpha, target)
+        signatures = tuple(table)
+        flower = find_sunflower(SetFamily(signatures), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
-        owners = [same[0] for same in table.values()]
-        return min(owners[i] for i in flower.member_indices)
+        return table[signatures[flower.member_indices[0]]][0]
     return None
 
 

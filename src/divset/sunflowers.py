@@ -3,9 +3,9 @@
 A sunflower is a subfamily whose members pairwise intersect in one common
 core; the members minus the core are the petals.  A set is an int bitset:
 element e is in it when bit e is set.  The search below is the classical
-recursive procedure: greedily collect a maximal pairwise-disjoint subfamily,
-and if that is too small, recurse on the sets containing the most frequent
-element.
+procedure as one loop: greedily collect a maximal pairwise-disjoint
+subfamily, and if that is too small, move the most frequent element into
+the core and go on with the sets containing it.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ def find_sunflower(family: SetFamily, b: int, a: int) -> Sunflower | None:
     {2} with b=1, a=3 has no 3-member sunflower.  Other inputs may produce a
     valid smaller sunflower or None.  Deterministic: the disjoint collection
     takes members in index order, and among the most frequent elements the
-    recursion takes the highest bit.  `solver._signature_key` numbers the
+    core takes the highest bit.  `solver._signature_key` numbers the
     kernel's elements so that the highest bit is the least (tag, position)
-    pair.  Runs in time polynomial in the family size.
+    pair.  The members are listed in ascending family position: the disjoint
+    pass and each narrowing keep the family's order, and when every set left
+    equals the core the first `a` are taken.  Runs in time polynomial in the
+    family size.
     """
     if a < 1:
         raise ValueError("requested sunflower size must be at least 1")
@@ -55,27 +58,23 @@ def find_sunflower(family: SetFamily, b: int, a: int) -> Sunflower | None:
             raise ContractError(f"member {i} is not a bitset of {b} elements")
     if not family.members:
         return None
-    return _search(list(enumerate(family.members)), a, 0)
+    items = list(enumerate(family.members))
+    core = 0
+    while items[0][1]:
+        used = 0
+        disjoint: list[int] = []
+        for i, s in items:
+            if not used & s:
+                disjoint.append(i)
+                used |= s
+        if len(disjoint) >= a:
+            return Sunflower(core, tuple(disjoint))
 
-
-def _search(items: list[tuple[int, int]], a: int, core: int) -> Sunflower:
-    if not items[0][1]:
-        # All current sets are empty: every member equals the core exactly.
-        chosen = items[: min(len(items), a)]
-        return Sunflower(core, tuple(i for i, _ in chosen))
-
-    used = 0
-    disjoint: list[int] = []
-    for i, s in items:
-        if not used & s:
-            disjoint.append(i)
-            used |= s
-    if len(disjoint) >= a:
-        return Sunflower(core, tuple(disjoint))
-
-    freq: Counter = Counter()
-    for _, s in items:
-        freq.update(_bit_indices(s))
-    bit = 1 << max(freq, key=lambda e: (freq[e], e))
-    sub = [(i, s ^ bit) for i, s in items if s & bit]
-    return _search(sub, a, core | bit)
+        freq: Counter = Counter()
+        for _, s in items:
+            freq.update(_bit_indices(s))
+        bit = 1 << max(freq, key=lambda e: (freq[e], e))
+        core |= bit
+        items = [(i, s ^ bit) for i, s in items if s & bit]
+    # All current sets are empty: every member equals the core exactly.
+    return Sunflower(core, tuple(i for i, _ in items[:a]))

@@ -278,11 +278,11 @@ def solve_checking_kept_states(monkeypatch, instance):
     """`solve(instance)`, checking before each pruning call of `_kernel` and
     after its last one that the state it keeps for each row not pruned
     equals one built fresh from the row's neighborhood among the rows not
-    yet pruned: entries, classes, the tabled classes' tables with their
-    owners, and the order of their keys.  The tables of an emptied class,
-    and an emptied table, are left out: no call reads them.  Returns the
-    outcome and the number of prunes that took a signature's owner whose
-    copy stayed in a kept table."""
+    yet pruned: entries, classes, and every live class's tables with their
+    owners, in key order.  The tables of an emptied class, and an emptied
+    table, are left out: no call reads them.  Returns the outcome and the
+    number of prunes that took a signature's owner whose copy stayed in a
+    kept table."""
     real = solver._prunable_in
     gone, copies, last = 0, 0, []
 
@@ -291,14 +291,15 @@ def solve_checking_kept_states(monkeypatch, instance):
 
     def check(rows, memo):
         near = solver._neighborhood_masks(rows, instance.r)
-        for w, (entries, classes, tabled) in memo.items():
+        for w, (entries, classes, tables) in memo.items():
             if gone >> w & 1:
                 continue
-            fresh_entries, fresh_classes, _ = solver._reference_state(rows, w, near[w] & ~gone)
+            fresh_entries, fresh_classes, fresh_tables = solver._reference_state(
+                rows, w, near[w] & ~gone
+            )
             assert (entries, classes) == (fresh_entries, fresh_classes), w
-            for key in tabled.keys() & classes.keys():
-                fresh = solver._signature_tables(entries, classes[key])
-                assert listed(tabled[key]) == listed(fresh), (w, key)
+            for key in classes:
+                assert listed(tables[key]) == listed(fresh_tables[key]), (w, key)
 
     def prunable_in(rows, v_index, near, target, memo):
         nonlocal gone, copies
@@ -306,10 +307,10 @@ def solve_checking_kept_states(monkeypatch, instance):
         f = real(rows, v_index, near, target, memo)
         if f is not None:
             gone |= 1 << f
-            for w, (entries, _, tabled) in memo.items():
+            for w, (entries, _, tables) in memo.items():
                 if w != f and f in entries:
                     key, sig, alpha = entries[f]
-                    same = tabled.get(key, {}).get(alpha, {}).get(sig, [])
+                    same = tables[key][alpha][sig]
                     copies += len(same) > 1 and same[0] == f
         last[:] = [rows, memo]
         return f

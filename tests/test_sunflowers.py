@@ -9,9 +9,11 @@ from divset.sunflowers import SetFamily, Sunflower, find_sunflower
 
 
 def check_is_sunflower(family: SetFamily, flower: Sunflower):
-    """Independent validity check: every pairwise intersection equals the core."""
+    """Independent validity check: every pairwise intersection equals the
+    core, and the members are listed in strictly ascending family position,
+    which the kernel's pruning rule relies on."""
     chosen = [family.members[i] for i in flower.member_indices]
-    assert len(set(flower.member_indices)) == len(flower.member_indices)
+    assert list(flower.member_indices) == sorted(set(flower.member_indices))
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
             assert chosen[i] & chosen[j] == flower.core
@@ -86,12 +88,24 @@ def test_guarantee_at_derived_size():
 
 def test_tie_goes_to_the_highest_bit():
     # Every later set meets {1, 2}, so the disjoint pass finds one member and
-    # the search recurses; elements 1 and 2 each lie in three sets, and the
-    # core takes the higher, 2.
+    # the search narrows to the sets holding the most frequent element;
+    # elements 1 and 2 each lie in three sets, and the core takes the
+    # higher, 2.
     family = fam({1, 2}, {1, 3}, {2, 3}, {2, 4}, {1, 4})
     flower = find_sunflower(family, 2, 3)
     assert flower.core == bits({2})
     assert flower.member_indices == (0, 2, 3)
+    check_is_sunflower(family, flower)
+
+
+def test_long_core_does_not_recurse():
+    # The core grows by one element per pass, 1,200 passes here, past
+    # Python's default recursion limit.
+    core = bits(range(1200))
+    family = SetFamily(tuple(core | 1 << (1200 + i) for i in range(3)))
+    flower = find_sunflower(family, 1201, 3)
+    assert flower.core == core
+    assert flower.member_indices == (0, 1, 2)
     check_is_sunflower(family, flower)
 
 
