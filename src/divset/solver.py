@@ -12,13 +12,16 @@ rows remain, the kernel answers with the guaranteed greedy once every
 neighborhood is sparse, or prunes a row whose removal a sunflower argument
 shows preserves the answer.  It builds every neighborhood once, as an int
 bitset, from buckets of rows by completion rather than a test per row pair,
-and keeps its size as a count.  It builds a crowded row's classes and signature
-tables whole on the row's first use and keeps them across prunes: a prune
-clears the row's bit, decrements its neighbors' sizes and takes it out of
-every kept state.  A neighbor's signature against the crowded row is one
-int, a bitset the sunflower search reads as it is, and the owner of the
-sunflower's first member is the row pruned; `find_prunable_row` is the
-checked public entry to the same pruning rule, on a state built fresh.
+and never rewrites it: the rows alive are one bitset, and the sizes are
+buckets of alive rows by their count of alive neighbors.  It builds a
+crowded row's classes and signature tables whole on the row's first use and
+keeps them across prunes: a prune clears the row's alive bit, moves its
+neighbors down one bucket per distinct size and takes it out of their kept
+states, so no prune walks a neighborhood.  A neighbor's signature against
+the crowded row is one int, a bitset the sunflower search reads as it is,
+and the owner of the sunflower's first member is the row pruned;
+`find_prunable_row` is the checked public entry to the same pruning rule,
+on a state built fresh.
 When no row can be pruned, and below the gate, the exact search decides: one
 loop walks the k-cliques of the bitset graph of row pairs that can still
 reach distance r+1, in lexicographic order, skipping a clique whose pair
@@ -727,18 +730,23 @@ def _kernel(
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
     neighborhoods are int bitsets over the rows `current` enters with, built
-    once by `_neighborhood_masks`, and their sizes are counts.  A prune
-    clears its row's bit from its neighbors' sets, decrements their sizes
-    and `_forget`s the row in the kept state of each neighbor that has one.
-    Pruning removes rows and leaves k and r alone, so the heavy-row
-    precondition is checked once, on entry, and the pruning rule
-    `_prunable_in` runs unchecked, with one memo of reference-row states
-    for the whole call, each built on a row's first use.  Once every size
-    is below the gate, each greedy pick rules out fewer than gate rows, its
-    neighborhood, so the scan makes k picks within the k * gate rows left.
-    When no row can be pruned, the exact search takes the rows as they are:
-    one new Instance of the rows left, or `current` itself when none was
-    pruned.
+    once by `_neighborhood_masks` and never rewritten; the rows not yet
+    pruned are one bitset, `alive`, so row j's neighborhood is
+    `near[j] & alive`.  The sizes are buckets, each size mapped to the
+    bitset of alive rows with that many alive neighbors, so the row to prune
+    from is the lowest bit of the top bucket.  A prune takes its row out of
+    `alive`, moves its alive neighbors down one bucket, one AND per size,
+    and `_forget`s the row in the kept state of each of those neighbors
+    that has one, so a prune walks no neighborhood row by row; only a
+    reference state's first build does.  Pruning removes rows and leaves k
+    and r alone, so the heavy-row precondition is checked once, on entry,
+    and the pruning rule `_prunable_in` runs unchecked, with one memo of
+    reference-row states for the whole call, each built on a row's first
+    use.  Once every size is below the gate, each greedy pick rules out
+    fewer than gate rows, its neighborhood, so the scan makes k picks within
+    the k * gate rows left.  When no row can be pruned, the exact search
+    takes the rows as they are: one new Instance of the rows left, or
+    `current` itself when none was pruned.
     """
     k, r = current.k, current.r
     rows = current.rows
@@ -746,36 +754,49 @@ def _kernel(
     if current.n >= k * thresholds.gate:
         _require_light(rows, k, r)
         near = _neighborhood_masks(rows, r)
-        size = [mask.bit_count() for mask in near]
-        alive = list(range(current.n))
+        buckets: dict[int, int] = {}
+        for j, mask in enumerate(near):
+            size = mask.bit_count()
+            buckets[size] = buckets.get(size, 0) | 1 << j
+        alive = (1 << current.n) - 1
         memo: dict[int, _State] = {}
-        while len(alive) >= k * thresholds.gate:
-            v = max(alive, key=size.__getitem__)
-            if size[v] < thresholds.gate:
+        while current.n - len(pruned) >= k * thresholds.gate:
+            top = max(buckets)
+            if top < thresholds.gate:
                 picks = greedy_attempt(_survivors(current, alive))
                 if picks is None:
                     raise ContractError("greedy ran out of rows despite the size preconditions")
                 return picks, "greedy-bounded", pruned
-            f = _prunable_in(rows, v, near[v], thresholds.target, memo)
+            v = (buckets[top] & -buckets[top]).bit_length() - 1
+            f = _prunable_in(rows, v, near[v] & alive, thresholds.target, memo)
             if f is None:
                 break
             pruned.append(f)
-            alive.remove(f)
-            keep = ~(1 << f)
-            for j in _bit_indices(near[f]):
-                near[j] &= keep
-                size[j] -= 1
-                if j in memo:
-                    _forget(memo[j], f)
+            alive ^= 1 << f
+            hit = near[f] & alive
+            shifted: dict[int, int] = {}
+            for size, members in buckets.items():
+                members &= alive
+                down = members & hit
+                if members ^ down:
+                    shifted[size] = shifted.get(size, 0) | members ^ down
+                if down:
+                    shifted[size - 1] = shifted.get(size - 1, 0) | down
+            buckets = shifted
+            for j, state in memo.items():
+                if hit >> j & 1:
+                    _forget(state, f)
         current = _survivors(current, alive)
     return brute_force(current), "brute-force", pruned
 
 
-def _survivors(instance: Instance, alive: list[int]) -> Instance:
-    """`instance` itself when no row was pruned, else its rows at `alive`."""
-    if len(alive) == instance.n:
+def _survivors(instance: Instance, alive: int) -> Instance:
+    """`instance` itself when no row was pruned, else its rows at the set
+    bits of `alive`."""
+    if alive == (1 << instance.n) - 1:
         return instance
-    return Instance(tuple(instance.rows[i] for i in alive), instance.k, instance.r, instance.d)
+    kept = tuple(instance.rows[i] for i in _bit_indices(alive))
+    return Instance(kept, instance.k, instance.r, instance.d)
 
 
 def solve(instance: Instance) -> SolveOutcome:

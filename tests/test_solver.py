@@ -982,6 +982,34 @@ class TestSolve:
         assert outcome.method == "brute-force"
         assert outcome.answer and verify_solution(instance, outcome.witness).ok
 
+    def test_prunes_walk_no_neighborhood(self, monkeypatch):
+        # The 801-row chain prunes 748 rows, and the pruned row's
+        # neighborhood holds every row still alive.  The kernel lists the
+        # rows of a neighborhood only to build a reference state, and of
+        # `alive` once, for the exact search, so `_bit_indices` walks at
+        # most (states + 1) * n bits; a walk over each pruned row's
+        # neighborhood text would take about 600,000.
+        instance = inst(chain_rows(random.Random(801), 800), 2, 0)
+        walked, states = 0, 0
+        bit_indices, reference_state = solver._bit_indices, solver._reference_state
+
+        def counted_bits(mask):
+            nonlocal walked
+            walked += mask.bit_length()
+            return bit_indices(mask)
+
+        def counted_state(*args):
+            nonlocal states
+            states += 1
+            return reference_state(*args)
+
+        monkeypatch.setattr(solver, "_bit_indices", counted_bits)
+        monkeypatch.setattr(solver, "_reference_state", counted_state)
+        outcome = solve(instance)
+        assert [e.kind for e in outcome.trace] == [PRUNED] * 748
+        assert outcome.method == "brute-force"
+        assert 1 <= states and walked <= (states + 1) * instance.n
+
     def test_kernel_names_pruned_rows_by_input_index(self):
         # The d=60 chain, its first three rows in three copies each: `reduce`
         # caps them at k=2 copies, removing input rows 2, 5 and 8, and the

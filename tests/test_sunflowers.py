@@ -82,7 +82,7 @@ def test_guarantee_at_derived_size():
             members.append(s)
     family = SetFamily(tuple(members))
     flower = find_sunflower(family, b, a)
-    assert flower is not None and len(flower) >= a
+    assert flower is not None and len(flower) == a
     check_is_sunflower(family, flower)
 
 
@@ -114,6 +114,21 @@ def test_negative_member_rejected():
         find_sunflower(SetFamily((-1,)), 1, 1)
 
 
+def test_stops_at_a_members():
+    family = SetFamily(tuple(1 << e for e in range(10_000)))
+    flower = find_sunflower(family, 1, 3)
+    assert flower == Sunflower(0, (0, 1, 2))
+
+
+@pytest.mark.parametrize("bad", [-2, 0b110])
+def test_whole_family_checked_past_the_flower(bad):
+    # The first three members already form the flower; the bad member after
+    # them must still be named.
+    family = SetFamily((1, 2, 4, 8, bad, 16))
+    with pytest.raises(ContractError, match="member 4 "):
+        find_sunflower(family, 1, 3)
+
+
 def test_determinism():
     family = fam({1, 2}, {2, 3}, {1, 3}, {4, 5}, {2, 6})
     first = find_sunflower(family, 2, 2)
@@ -133,5 +148,5 @@ def test_output_always_valid(members, a):
     family = SetFamily(tuple(map(bits, members)))
     flower = find_sunflower(family, 2, a)
     if flower is not None:
-        assert len(flower) >= 1
+        assert 1 <= len(flower) <= a
         check_is_sunflower(family, flower)
