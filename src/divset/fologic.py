@@ -167,7 +167,7 @@ class _Parser:
 
     def take(self, expected: str | None = None) -> str:
         if self.cursor >= len(self.tokens):
-            raise ParseError(f"unexpected end of formula, expected {expected or 'more input'}")
+            raise ParseError(f"unexpected end of formula, expected {expected!r}")
         token, pos = self.tokens[self.cursor]
         if expected is not None and token != expected:
             raise ParseError(f"expected {expected!r} at position {pos}, got {token!r}")

@@ -1,37 +1,36 @@
 """Exact decision procedure for the diversity-completion problem.
 
-`solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify.  `reduce`
-is the one place the two reduction rules run: it strips rows with more than
-(k-1)(r+1) unknowns, decrementing k, and then caps duplicate rows at k copies.
-A cheap greedy pass looks for a certificate: one ascending scan picks each
-row at known distance > r from every earlier pick and stops at the k-th.
-These are the picks of rounds of "keep the lowest surviving row, drop its
-r-neighborhood" (pick t is the first row alive after round t-1), with the
-same tests up to the k-th pick and none after it.  While at least k * gate
-rows remain, the kernel answers with the guaranteed greedy once every
-neighborhood is sparse, or prunes a row whose removal a sunflower argument
-shows preserves the answer.  It builds every neighborhood once, as an int
+`solve` runs reduce -> greedy -> kernel -> exact -> lift -> verify, calling
+each stage itself.  `reduce` is the one place the two reduction rules run:
+it strips rows with more than (k-1)(r+1) unknowns, decrementing k, and then
+caps duplicate rows at k copies.  A cheap greedy pass looks for a
+certificate: one ascending scan picks each row at known distance > r from
+every earlier pick and stops at the k-th, the picks of rounds of "keep the
+lowest surviving row, drop its r-neighborhood".  While at least k * gate
+rows remain, the kernel prunes rows whose removal a sunflower argument shows
+preserves the answer, and answers with the guaranteed greedy once every
+neighborhood is sparse.  It builds every neighborhood once, as an int
 bitset, from buckets of rows by completion rather than a test per row pair,
 and never rewrites it: the rows alive are one bitset, and the sizes are
 buckets of alive rows by their count of alive neighbors.  It builds a
-crowded row's classes and signature tables whole on the row's first use and
-keeps them across prunes: a prune clears the row's alive bit, moves its
-neighbors down one bucket per distinct size and takes it out of their kept
-states, so no prune walks a neighborhood.  A neighbor's signature against
-the crowded row is one int, a bitset the sunflower search reads as it is,
-and the owner of the sunflower's first member is the row pruned;
-`find_prunable_row` is the checked public entry to the same pruning rule,
-on a state built fresh.
-When no row can be pruned, and below the gate, the exact search decides: one
-loop walks the k-cliques of the bitset graph of row pairs that can still
-reach distance r+1, in lexicographic order, skipping a clique whose pair
-distances, or those of three of its rows, cannot sum to C(size,2)(r+1)
-(Plotkin's count), and a second loop tries completions in counting order,
-forward-checked.  Neither recurses, so the recursion limit does not cap k.
-It finds the same first (subset, completion) as a walk over all k-subsets.
-These stages return only their picks, and the kernel its prunes.  The trace
-holds each removal as (input index, kind), so `lift` maps a YES's picks to
-input indices, reads each removed heavy row from the input and completes it
+crowded row's state, its classes and signature tables, whole on the row's
+first use and keeps it across prunes: a prune clears the row's alive bit,
+moves its neighbors down one bucket per distinct size and takes it out of
+their kept states, so no prune walks a neighborhood.  The pruning rule reads
+one such state: a neighbor's signature is one int, a bitset the sunflower
+search reads as it is, and the owner of the sunflower's first member is the
+row pruned.  `find_prunable_row` is the rule's checked public entry, on a
+state built fresh.  Otherwise the kernel hands `solve` the rows left, and
+the exact search decides: one loop walks the k-cliques of the bitset graph
+of row pairs that can still reach distance r+1, in lexicographic order,
+skipping a clique whose pair distances, or those of three of its rows,
+cannot sum to C(size,2)(r+1) (Plotkin's count), and a second loop tries
+completions in counting order, forward-checked.  Neither recurses, so the
+recursion limit does not cap k.  It finds the same first (subset,
+completion) as a walk over all k-subsets.  The stages return only their
+picks, the kernel also its rows left and its prunes.  The trace holds each
+removal as (input index, kind), so `lift` maps a YES's picks to input
+indices, reads each removed heavy row from the input and completes it
 against them, and completes the rest to zeros; the witness is verified.
 `exhaustive_solve` is the independent ground truth used by the test harnesses.
 """
@@ -345,19 +344,20 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
 
     Preconditions, checked with NotApplicableError: every row has at most
     (k-1)(r+1) unknowns and the given row's r-neighborhood reaches the gate.
-    Past them this is a thin wrapper: it hands the neighborhood, as a bitset
-    of row indices, to `_prunable_in`, the one pruning rule, with a fresh
-    memo; `_kernel` calls it directly, with the states it keeps.  None means no
-    signature size holds enough distinct signatures for a sunflower of the
-    target size, and the caller hands the rows to the exact search.
+    Past them this is a thin wrapper: it builds the row's state fresh, with
+    `_reference_state`, over its neighborhood as a bitset of row indices, and
+    hands it to `_prunable_in`, the one pruning rule; `_kernel` hands the
+    rule the states it keeps.  None means no signature size holds enough
+    distinct signatures for a sunflower of the target size, and the caller
+    hands the rows to the exact search.
     """
     k, r = instance.k, instance.r
     _require_light(instance.rows, k, r)
     near = neighborhood(instance, v_index, r)
     if len(near) < thresholds.gate:
         raise NotApplicableError(f"neighborhood size {len(near)} below gate {thresholds.gate}")
-    near_mask = sum(1 << j for j in near)
-    return _prunable_in(instance.rows, v_index, near_mask, thresholds.target, {})
+    state = _reference_state(instance.rows, v_index, sum(1 << j for j in near))
+    return _prunable_in(state, thresholds.target)
 
 
 # A reference row's kept state: each neighbor's (class key, signature,
@@ -412,11 +412,9 @@ def _forget(state: _State, f: int) -> None:
         tables[key][alpha] = dict(sorted(table.items(), key=lambda item: item[1][0]))
 
 
-def _prunable_in(
-    rows: Sequence[PartialVector], v_index: int, near: int, target: int, memo: dict[int, _State]
-) -> int | None:
-    """The pruning rule on row v_index's r-neighborhood `near`, a bitset of
-    row indices; the lowest row of a sunflower, or None.
+def _prunable_in(state: _State, target: int) -> int | None:
+    """The pruning rule on one reference row's state, as `_reference_state`
+    builds it: the lowest row of a sunflower, or None.
 
     Takes the largest class of neighbors that agree on the reference row's
     unknown coordinates (lowest first row on ties); in it only identical rows
@@ -428,14 +426,7 @@ def _prunable_in(
     table's signatures as they are.  The table lists them in ascending owner
     order and `find_sunflower` its members in ascending position, so the
     first member's owner is the least owner among them, the row pruned.
-    `memo[v_index]` keeps the row's state: it is built from `near` on first
-    use, and later calls read it and ignore `near`, so a caller that keeps
-    `memo` across prunes must `_forget` each pruned row in every state that
-    holds it, as `_kernel` does.
     """
-    state = memo.get(v_index)
-    if state is None:
-        state = memo[v_index] = _reference_state(rows, v_index, near)
     _, classes, tables = state
     key, _ = max(classes.items(), key=lambda item: (len(item[1]), -item[1][0]))
     for alpha, table in tables[key].items():
@@ -724,9 +715,10 @@ def _neighborhood_masks(rows: Sequence[PartialVector], r: int) -> list[int]:
 
 def _kernel(
     current: Instance, thresholds: Thresholds
-) -> tuple[dict[int, PartialVector] | None, str, list[int]]:
-    """The kernel and exact stages: the picks, the method that decided, and
-    the pruned rows' positions in `current`, in the order they were pruned.
+) -> tuple[dict[int, PartialVector] | None, Instance, list[int]]:
+    """The kernel stage: the greedy-bounded picks, or None; the rows left,
+    `current` itself when none was pruned; and the pruned rows' positions in
+    `current`, in the order they were pruned.
 
     Prunes from the largest r-neighborhood (lowest index on ties).  The
     neighborhoods are int bitsets over the rows `current` enters with, built
@@ -740,13 +732,13 @@ def _kernel(
     that has one, so a prune walks no neighborhood row by row; only a
     reference state's first build does.  Pruning removes rows and leaves k
     and r alone, so the heavy-row precondition is checked once, on entry,
-    and the pruning rule `_prunable_in` runs unchecked, with one memo of
-    reference-row states for the whole call, each built on a row's first
-    use.  Once every size is below the gate, each greedy pick rules out
-    fewer than gate rows, its neighborhood, so the scan makes k picks within
-    the k * gate rows left.  When no row can be pruned, the exact search
-    takes the rows as they are: one new Instance of the rows left, or
-    `current` itself when none was pruned.
+    and the pruning rule `_prunable_in` runs unchecked on the states of one
+    memo for the whole call, each built by `_reference_state` on a row's
+    first use.  Once every size is below the gate, each greedy pick rules
+    out fewer than gate rows, its neighborhood, so the scan makes k picks
+    within the k * gate rows left.  Below k * gate rows, or when no row can
+    be pruned, the picks are None and `solve` hands the rows left to the
+    exact search.
     """
     k, r = current.k, current.r
     rows = current.rows
@@ -763,12 +755,16 @@ def _kernel(
         while current.n - len(pruned) >= k * thresholds.gate:
             top = max(buckets)
             if top < thresholds.gate:
-                picks = greedy_attempt(_survivors(current, alive))
+                left = _survivors(current, alive)
+                picks = greedy_attempt(left)
                 if picks is None:
                     raise ContractError("greedy ran out of rows despite the size preconditions")
-                return picks, "greedy-bounded", pruned
+                return picks, left, pruned
             v = (buckets[top] & -buckets[top]).bit_length() - 1
-            f = _prunable_in(rows, v, near[v] & alive, thresholds.target, memo)
+            state = memo.get(v)
+            if state is None:
+                state = memo[v] = _reference_state(rows, v, near[v] & alive)
+            f = _prunable_in(state, thresholds.target)
             if f is None:
                 break
             pruned.append(f)
@@ -787,7 +783,7 @@ def _kernel(
                 if hit >> j & 1:
                     _forget(state, f)
         current = _survivors(current, alive)
-    return brute_force(current), "brute-force", pruned
+    return None, current, pruned
 
 
 def _survivors(instance: Instance, alive: int) -> Instance:
@@ -819,8 +815,11 @@ def solve(instance: Instance) -> SolveOutcome:
         thresholds = Thresholds.for_parameters(k, r)
         kernel_rows = min(k * thresholds.gate, SATURATION_CAP)
         if picks is None:
-            picks, method, pruned = _kernel(current, thresholds)
+            picks, left, pruned = _kernel(current, thresholds)
             events += [Removal(i, PRUNED) for i in _at_input(pruned, events)]
+            method = "greedy-bounded"
+            if picks is None:
+                picks, method = brute_force(left), "brute-force"
     t2 = perf_counter()
     stages.append(("decide", t2 - t1))
 

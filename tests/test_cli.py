@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -409,6 +410,8 @@ class TestFo:
                 "error: unexpected end of formula, expected a connective\n",
             ),
             ("exists x. x=\n", k2, "error: unexpected end of formula, expected a variable\n"),
+            ("exists x. E(x\n", k2, "error: unexpected end of formula, expected ','\n"),
+            ("exists x. (x=x x=x)\n", k2, "error: expected a connective, got 'x'\n"),
             ("  \n", k2, "error: empty formula\n"),
             ("exists x. x=x x\n", k2, "error: trailing input 'x' at position 14\n"),
             (sentence, "2 1 3\n1 2\n", "error: line 1: expected header 'n m', got '2 1 3'\n"),
@@ -706,3 +709,19 @@ print(json.dumps(counts))
         assert done.returncode == 0, done.stderr
         counts = json.loads(done.stdout)
         assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_traced_names_resolve():
+    # perfbench's tracer wraps each (module, attribute) of `TRACED` where the
+    # calls go through; a rename there must fail here, not only in a traced
+    # benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_name, attr, *_ in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            module_name,
+            attr,
+        )

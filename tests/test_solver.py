@@ -276,50 +276,52 @@ def reference_pruned(instance, thresholds):
 
 def solve_checking_kept_states(monkeypatch, instance):
     """`solve(instance)`, checking before each pruning call of `_kernel` and
-    after its last one that the state it keeps for each row not pruned
-    equals one built fresh from the row's neighborhood among the rows not
-    yet pruned: entries, classes, and every live class's tables with their
-    owners, in key order.  The tables of an emptied class, and an emptied
-    table, are left out: no call reads them.  Returns the outcome and the
-    number of prunes that took a signature's owner whose copy stayed in a
-    kept table."""
-    real = solver._prunable_in
-    gone, copies, last = 0, 0, []
+    after its last one that each state it built through `_reference_state`,
+    for a row not pruned, equals one built fresh from the row's
+    neighborhood among the rows not yet pruned: entries, classes, and every
+    live class's tables with their owners, in key order.  The tables of an
+    emptied class, and an emptied table, are left out: no call reads them.
+    Returns the outcome and the number of prunes that took a signature's
+    owner whose copy stayed in a kept table."""
+    real_state, real_rule = solver._reference_state, solver._prunable_in
+    gone, copies, rows, kept = 0, 0, [], {}
 
     def listed(tables):
         return [(alpha, list(table.items())) for alpha, table in tables.items() if table]
 
-    def check(rows, memo):
+    def check():
         near = solver._neighborhood_masks(rows, instance.r)
-        for w, (entries, classes, tables) in memo.items():
+        for w, (entries, classes, tables) in kept.items():
             if gone >> w & 1:
                 continue
-            fresh_entries, fresh_classes, fresh_tables = solver._reference_state(
-                rows, w, near[w] & ~gone
-            )
+            fresh_entries, fresh_classes, fresh_tables = real_state(rows, w, near[w] & ~gone)
             assert (entries, classes) == (fresh_entries, fresh_classes), w
             for key in classes:
                 assert listed(tables[key]) == listed(fresh_tables[key]), (w, key)
 
-    def prunable_in(rows, v_index, near, target, memo):
+    def reference_state(at, v_index, near):
+        rows[:] = at
+        state = kept[v_index] = real_state(at, v_index, near)
+        return state
+
+    def prunable_in(state, target):
         nonlocal gone, copies
-        check(rows, memo)
-        f = real(rows, v_index, near, target, memo)
+        check()
+        f = real_rule(state, target)
         if f is not None:
             gone |= 1 << f
-            for w, (entries, _, tables) in memo.items():
+            for w, (entries, _, tables) in kept.items():
                 if w != f and f in entries:
                     key, sig, alpha = entries[f]
                     same = tables[key][alpha][sig]
                     copies += len(same) > 1 and same[0] == f
-        last[:] = [rows, memo]
         return f
 
     with monkeypatch.context() as patched:
+        patched.setattr(solver, "_reference_state", reference_state)
         patched.setattr(solver, "_prunable_in", prunable_in)
         outcome = solve(instance)
-    if last:
-        check(*last)
+    check()
     return outcome, copies
 
 
@@ -950,6 +952,35 @@ class TestSolve:
             assert verify_solution(instance, outcome.witness).ok
             handed += copies
         assert handed >= 60
+
+    def test_kernel_drops_a_kept_class_that_empties(self, monkeypatch):
+        # A prune takes the last row of some class out of a kept state, so
+        # `_forget` deletes that class; a class left behind empty would sit
+        # in the kept classes where a fresh build has none.
+        texts = (
+            "010 0?? 01? 00? 101 000 001 001 101 010 000 000 0?0 111 010 ?0? 010 ?01 001 000 00?"
+            " ??? 001 001 001"
+        ).split()
+        instance = inst(texts, 3, 2, 3)
+        emptied = 0
+        real = solver._forget
+
+        def counted_forget(state, f):
+            nonlocal emptied
+            entries, classes, _ = state
+            emptied += len(classes[entries[f][0]]) == 1
+            real(state, f)
+
+        monkeypatch.setattr(solver, "_forget", counted_forget)
+        patch_gates(monkeypatch, 6, 2)
+        outcome, _ = solve_checking_kept_states(monkeypatch, instance)
+        reduced, removals = reduce(instance)
+        expected = [e.index for e in reference_pruned(reduced, Thresholds(6, 2))]
+        pruned = [Removal(i, PRUNED) for i in solver._at_input(expected, removals)]
+        assert list(outcome.trace) == removals + pruned
+        assert emptied >= 1
+        assert not outcome.answer
+        assert not exhaustive_solve(instance, max_rows=instance.n).answer
 
     def test_kernel_hands_unpruned_rows_over_as_they_are(self, monkeypatch):
         # The zero row's neighborhood reaches gate 5, but target 40 needs

@@ -114,6 +114,11 @@ def test_negative_member_rejected():
         find_sunflower(SetFamily((-1,)), 1, 1)
 
 
+def test_size_below_one_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        find_sunflower(fam({0}, {1}), 1, 0)
+
+
 def test_stops_at_a_members():
     family = SetFamily(tuple(1 << e for e in range(10_000)))
     flower = find_sunflower(family, 1, 3)

@@ -104,6 +104,11 @@ class TestLengthChecks:
         with pytest.raises(DimensionMismatch, match="row 1 has length 3, expected 2"):
             Instance((pv("01"), pv("011")), 1, 0, 2)
 
+    @pytest.mark.parametrize("k, r, d", [(-1, 0, 2), (1, -1, 2), (1, 0, -1)])
+    def test_instance_rejects_negative_parameters(self, k, r, d):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Instance((), k, r, d)
+
     def test_verify_reports_completed_length(self):
         inst = Instance.from_texts(["0?", "11"], k=2, r=0)
         sol = Solution((pv("000"), pv("11")), frozenset({0, 1}))
