@@ -7,6 +7,11 @@ fields.
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later call; `parse_args` keeps no state between calls.
+
+`solve`, `verify` and `bench` load only the solver's modules.  The FO and
+graph tools (`fologic`, `reductions`) load on the first `fo` or `generate`
+call, or on the first read of one of their names as an attribute of this
+module.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -24,20 +30,6 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import ContractError, OracleLimitError
-from .fologic import (
-    embedding_transfer_report,
-    evaluate,
-    formula_size,
-    parse_formula,
-    rewrite_sentence,
-    to_text,
-)
-from .reductions import (
-    hypercube_embedding,
-    independent_set_to_diversity,
-    independent_set_to_r2,
-    parse_graph,
-)
 from .solver import SolveOutcome, exhaustive_solve, solve
 from .vectors import (
     Instance,
@@ -49,6 +41,50 @@ from .vectors import (
     serialize_solution,
     verify_solution,
 )
+
+
+# The names `fo` and `generate` call, by the module that defines them.  They
+# are bound here on first use, and the commands call them as globals of this
+# module, so a wrapper set on `divset.cli.<name>` (a tracer's, a test's) sees
+# every call.
+_LAZY = {
+    "fologic": (
+        "embedding_transfer_report",
+        "evaluate",
+        "formula_size",
+        "parse_formula",
+        "rewrite_sentence",
+        "to_text",
+    ),
+    "reductions": (
+        "hypercube_embedding",
+        "independent_set_to_diversity",
+        "independent_set_to_r2",
+        "parse_graph",
+    ),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind here each name `_LAZY` lists for the modules that is not bound
+    yet, importing its module.  A name already bound keeps its value: it may
+    be a wrapper."""
+    namespace = globals()
+    for module in modules:
+        missing = [name for name in _LAZY[module] if name not in namespace]
+        if missing:
+            source = importlib.import_module(f".{module}", __package__)
+            for name in missing:
+                namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    """`divset.cli.<name>` for a `_LAZY` name not bound yet: load it."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _digest(text: str) -> str:
@@ -90,17 +126,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     _emit(serialize_solution(outcome.witness), args.output)
 
-    report = {
-        "command": "solve",
-        "input_digest": _digest(text),
-        "flags": {"oracle": args.oracle},
-        **_outcome_fields(outcome),
-        "timings": {
-            "total_seconds": elapsed,
-            "stages": {name: seconds for name, seconds in outcome.stage_seconds},
-        },
-    }
-    _write_report(args.report, report)
+    if args.report:
+        report = {
+            "command": "solve",
+            "input_digest": _digest(text),
+            "flags": {"oracle": args.oracle},
+            **_outcome_fields(outcome),
+            "timings": {
+                "total_seconds": elapsed,
+                "stages": {name: seconds for name, seconds in outcome.stage_seconds},
+            },
+        }
+        _write_report(args.report, report)
     return 0 if outcome.answer else 1
 
 
@@ -120,6 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _load("reductions")
     graph = parse_graph(_read(args.graph))
     if args.kind == "embed":
         rows = hypercube_embedding(graph)
@@ -138,6 +176,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fo(args: argparse.Namespace) -> int:
+    _load("fologic", "reductions")
     phi = parse_formula(_read(args.formula))
     if args.subcommand == "rewrite":
         rewritten = rewrite_sentence(phi)

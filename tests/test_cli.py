@@ -624,16 +624,97 @@ class TestBench:
             assert got == digests, seed
 
 
-def test_solver_import_leaves_fo_tooling_unloaded():
-    # The package exports nothing, so a module loads only what it imports.
-    script = (
-        "import sys, divset.solver, divset.vectors; "
-        "print(sorted(m for m in ('divset.fologic', 'divset.reductions') if m in sys.modules))"
-    )
+FO_TOOLING = ["divset.fologic", "divset.reductions"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        (["solve", "{instance}"], []),
+        (["verify", "{instance}", "{solution}"], []),
+        (["bench", "--only", "params-k"], []),
+        (["fo", "check", "{formula}", "{graph}"], FO_TOOLING),
+    ],
+    ids=["solver-import", "solve", "verify", "bench", "fo-check"],
+)
+def test_solver_import_leaves_fo_tooling_unloaded(tmp_path, argv, loaded):
+    # The package exports nothing, so a module loads only what it imports,
+    # and the command line loads the FO tooling only for the commands that
+    # use it.  `fo check` loads both, so the check is not vacuous.
+    files = {
+        "instance": write(tmp_path / "yes.inst", "3 2 2\n000\n111\n"),
+        "solution": write(tmp_path / "yes.sol", "YES\n000\n111\nS: 0 1\n"),
+        "formula": write(tmp_path / "f.fo", "forall x. exists y. E(x,y)\n"),
+        "graph": write(tmp_path / "k2.graph", "2 1\n1 2\n"),
+    }
+    if argv is None:
+        run = "import divset.solver, divset.vectors\ncode = 0"
+    else:
+        argv = [arg.format(**files) for arg in argv]
+        run = (
+            "import contextlib, io, divset.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = divset.cli.main({argv!r})"
+        )
+    script = f"""import json, sys
+{run}
+print(json.dumps([code, [m for m in {FO_TOOLING!r} if m in sys.modules]]))
+"""
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [0, loaded]
+
+
+def test_wrappers_set_before_the_first_fo_call_see_it(tmp_path, capsys):
+    # perfbench's tracer replaces `divset.cli.<name>` by a wrapper before any
+    # `fo` call, in a process where the FO tooling is not loaded yet.  The
+    # command must load the tooling without undoing the wrapper, and call the
+    # name through this module, so that the wrapper sees the call.
+    formula = write(tmp_path / "f.fo", "forall x. exists y. E(x,y)\n")
+    graph = write(tmp_path / "k2.graph", "2 1\n1 2\n")
+    commands = [
+        ["fo", "harness", formula, graph, "--report", str(tmp_path / "record.json")],
+        ["generate", "embed", graph],
+    ]
+    script = f"""import contextlib, io, json, sys
+import divset.cli as cli
+assert "divset.fologic" not in sys.modules
+seen = []
+def wrap(name):
+    original = getattr(cli, name)
+    def wrapper(*args, **kwargs):
+        seen.append(name)
+        return original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+for name in ("parse_graph", "parse_formula", "embedding_transfer_report"):
+    wrap(name)
+outputs = []
+for argv in {commands!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue(), open({str(tmp_path / "record.json")!r}).read()])
+try:
+    cli.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps({{"seen": seen, "outputs": outputs, "missing": missing}}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    got = json.loads(done.stdout)
+    assert got["seen"] == ["parse_formula", "parse_graph", "embedding_transfer_report", "parse_graph"]
+    assert got["missing"] is True
+    expected = []
+    for argv in commands:
+        code = main(argv)
+        expected.append([code, capsys.readouterr().out, (tmp_path / "record.json").read_text()])
+    assert got["outputs"] == expected
 
 
 class TestSharedParser:
