@@ -11,19 +11,17 @@ reused by every later call; `parse_args` keeps no state between calls.
 `solve`, `verify` and `bench` load only the solver's modules.  The FO and
 graph tools (`fologic`, `reductions`) load on the first `fo` or `generate`
 call, or on the first read of one of their names as an attribute of this
-module.
+module.  `hashlib`, `json` and `random` load in the functions that use
+them, so `solve` without `--report` and `verify` load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import importlib
 import itertools
-import json
 import os
-import random
 import sys
 import time
 from collections import Counter
@@ -88,6 +86,8 @@ def __getattr__(name: str):
 
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -104,6 +104,8 @@ def _emit(payload: str, output: str | None) -> None:
 
 def _write_report(path: str | None, report: dict) -> None:
     if path:
+        import json
+
         Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
@@ -192,6 +194,8 @@ def _cmd_fo(args: argparse.Namespace) -> int:
         return 0 if holds else 1
     record = embedding_transfer_report(graph, phi)
     _write_report(args.report, record)
+    import json
+
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
@@ -242,6 +246,8 @@ def _bench_instance(seed: int, suite: str, index: int, case: dict) -> Instance:
     pair is 0 apart as known and can reach 2, so greedy stops at one pick,
     and at r=0 the first k rows are the exact search's first clique and a
     YES."""
+    import random
+
     rng = random.Random(f"{seed}:{suite}:{index}")
     d = case["d"]
     if case.get("source") == "chain":

@@ -12,12 +12,12 @@ preserves the answer, and answers with the guaranteed greedy once every
 neighborhood is sparse.  It builds every neighborhood once, as an int
 bitset, from buckets of rows by completion rather than a test per row pair,
 and never rewrites it: the rows alive are one bitset, and the sizes are
-buckets of alive rows by their count of alive neighbors.  It builds a
-crowded row's state, its classes and signature tables, whole on the row's
-first use and keeps it across prunes: a prune clears the row's alive bit,
-moves its neighbors down one bucket per distinct size and takes it out of
-their kept states, so no prune walks a neighborhood.  The pruning rule reads
-one such state: a neighbor's signature is one int, a bitset the sunflower
+buckets of alive rows by their count of alive neighbors.  It keeps the
+reference row's state, its classes and signature tables, and builds it
+whole when the reference row changes: a prune clears the row's alive bit
+and moves its neighbors down one bucket per distinct size, and the pruning
+rule takes the row out of the state it reads, so no prune walks a
+neighborhood.  A neighbor's signature is one int, a bitset the sunflower
 search reads as it is, and the owner of the sunflower's first member is the
 row pruned.  `find_prunable_row` is the rule's checked public entry, on a
 state built fresh.  Otherwise the kernel hands `solve` the rows left, and
@@ -347,7 +347,7 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     Past them this is a thin wrapper: it builds the row's state fresh, with
     `_reference_state`, over its neighborhood as a bitset of row indices, and
     hands it to `_prunable_in`, the one pruning rule; `_kernel` hands the
-    rule the states it keeps.  None means no signature size holds enough
+    rule the state it keeps.  None means no signature size holds enough
     distinct signatures for a sunflower of the target size, and the caller
     hands the rows to the exact search.
     """
@@ -360,16 +360,12 @@ def find_prunable_row(instance: Instance, v_index: int, thresholds: Thresholds) 
     return _prunable_in(state, thresholds.target)
 
 
-# A reference row's kept state: each neighbor's (class key, signature,
-# alpha); each class as its rows, ascending; and each class's signature
-# tables by ascending alpha, each mapping a signature to its rows,
-# ascending, in ascending order of their first row, the owner.
+# A reference row's state: each class of its neighbors as its rows,
+# ascending; and each class's signature tables by ascending alpha, each
+# mapping a signature to its rows, ascending, in ascending order of their
+# first row, the owner.
 _Key = tuple[int, int]
-_State = tuple[
-    dict[int, tuple[_Key, int, int]],
-    dict[_Key, list[int]],
-    dict[_Key, dict[int, dict[int, list[int]]]],
-]
+_State = tuple[dict[_Key, list[int]], dict[_Key, dict[int, dict[int, list[int]]]]]
 
 
 def _reference_state(rows: Sequence[PartialVector], v_index: int, near: int) -> _State:
@@ -378,43 +374,22 @@ def _reference_state(rows: Sequence[PartialVector], v_index: int, near: int) -> 
     signatures in ascending owner order."""
     v = rows[v_index]
     free = ~(v.ones | v.zeros)
-    entries: dict[int, tuple[_Key, int, int]] = {}
     classes: dict[_Key, list[int]] = {}
     tables: dict[_Key, dict[int, dict[int, list[int]]]] = {}
     for idx in _bit_indices(near):
         row = rows[idx]
         key = (row.ones & free, row.zeros & free)
         sig, alpha = _signature_key(v, row)
-        entries[idx] = (key, sig, alpha)
         classes.setdefault(key, []).append(idx)
         tables.setdefault(key, {}).setdefault(alpha, {}).setdefault(sig, []).append(idx)
     sorted_tables = {key: dict(sorted(by_alpha.items())) for key, by_alpha in tables.items()}
-    return entries, classes, sorted_tables
-
-
-def _forget(state: _State, f: int) -> None:
-    """Take pruned row f out of a state that holds it.  An emptied class
-    goes; when f owned a signature that a copy of f shares, the copy takes
-    over and its table goes back to ascending owner order.  The tables of
-    an emptied class, and a table emptied, stay: no call reads them."""
-    entries, classes, tables = state
-    key, sig, alpha = entries.pop(f)
-    members = classes[key]
-    members.remove(f)
-    if not members:
-        del classes[key]
-    table = tables[key][alpha]
-    same = table[sig]
-    same.remove(f)
-    if not same:
-        del table[sig]
-    elif same[0] > f:
-        tables[key][alpha] = dict(sorted(table.items(), key=lambda item: item[1][0]))
+    return classes, sorted_tables
 
 
 def _prunable_in(state: _State, target: int) -> int | None:
     """The pruning rule on one reference row's state, as `_reference_state`
-    builds it: the lowest row of a sunflower, or None.
+    builds it: the lowest row of a sunflower, taken out of the state, or
+    None.
 
     Takes the largest class of neighbors that agree on the reference row's
     unknown coordinates (lowest first row on ties); in it only identical rows
@@ -426,8 +401,14 @@ def _prunable_in(state: _State, target: int) -> int | None:
     table's signatures as they are.  The table lists them in ascending owner
     order and `find_sunflower` its members in ascending position, so the
     first member's owner is the least owner among them, the row pruned.
+
+    The row leaves its class and its signature's rows, so the state is the
+    one `_reference_state` builds over the neighbors left.  The class keeps
+    the table's other signatures, so it never empties; the signature goes
+    when no copy of the row is left, and otherwise the first copy owns it,
+    and the table goes back to ascending owner order.
     """
-    _, classes, tables = state
+    classes, tables = state
     key, _ = max(classes.items(), key=lambda item: (len(item[1]), -item[1][0]))
     for alpha, table in tables[key].items():
         if alpha == 0 or len(table) <= factorial(alpha) * (target - 1) ** alpha:
@@ -436,7 +417,15 @@ def _prunable_in(state: _State, target: int) -> int | None:
         flower = find_sunflower(SetFamily(signatures), alpha, target)
         if flower is None or len(flower) < target:
             raise ContractError("sunflower extraction fell short of the Erdos-Rado guarantee")
-        return table[signatures[flower.member_indices[0]]][0]
+        sig = signatures[flower.member_indices[0]]
+        same = table[sig]
+        f = same.pop(0)
+        classes[key].remove(f)
+        if same:
+            tables[key][alpha] = dict(sorted(table.items(), key=lambda item: item[1][0]))
+        else:
+            del table[sig]
+        return f
     return None
 
 
@@ -726,19 +715,23 @@ def _kernel(
     pruned are one bitset, `alive`, so row j's neighborhood is
     `near[j] & alive`.  The sizes are buckets, each size mapped to the
     bitset of alive rows with that many alive neighbors, so the row to prune
-    from is the lowest bit of the top bucket.  A prune takes its row out of
-    `alive`, moves its alive neighbors down one bucket, one AND per size,
-    and `_forget`s the row in the kept state of each of those neighbors
-    that has one, so a prune walks no neighborhood row by row; only a
-    reference state's first build does.  Pruning removes rows and leaves k
+    from is the lowest bit of the top bucket, the reference row.  A prune
+    takes its row out of `alive` and moves its alive neighbors down one
+    bucket, one AND per size, so a prune walks no neighborhood row by row;
+    only a reference state's build does.  Pruning removes rows and leaves k
     and r alone, so the heavy-row precondition is checked once, on entry,
-    and the pruning rule `_prunable_in` runs unchecked on the states of one
-    memo for the whole call, each built by `_reference_state` on a row's
-    first use.  Once every size is below the gate, each greedy pick rules
-    out fewer than gate rows, its neighborhood, so the scan makes k picks
-    within the k * gate rows left.  Below k * gate rows, or when no row can
-    be pruned, the picks are None and `solve` hands the rows left to the
-    exact search.
+    and the pruning rule `_prunable_in` runs unchecked.  The kernel keeps
+    the current reference row's state, which the rule updates as it prunes,
+    and builds a row's state fresh with `_reference_state` when the
+    reference row changes.  Below 34,506 rows the certified gate lets the
+    kernel run only at k = 2, r = 0, and there the reference row never
+    changes: greedy failed, so every row sits within known distance 0 of
+    row 0, whose neighborhood is then every alive row and whose own
+    signature, of size 0, is never pruned.  Once every size is below the
+    gate, each greedy pick rules out fewer than gate rows, its
+    neighborhood, so the scan makes k picks within the k * gate rows left.
+    Below k * gate rows, or when no row can be pruned, the picks are None
+    and `solve` hands the rows left to the exact search.
     """
     k, r = current.k, current.r
     rows = current.rows
@@ -751,7 +744,7 @@ def _kernel(
             size = mask.bit_count()
             buckets[size] = buckets.get(size, 0) | 1 << j
         alive = (1 << current.n) - 1
-        memo: dict[int, _State] = {}
+        v = -1
         while current.n - len(pruned) >= k * thresholds.gate:
             top = max(buckets)
             if top < thresholds.gate:
@@ -760,28 +753,23 @@ def _kernel(
                 if picks is None:
                     raise ContractError("greedy ran out of rows despite the size preconditions")
                 return picks, left, pruned
-            v = (buckets[top] & -buckets[top]).bit_length() - 1
-            state = memo.get(v)
-            if state is None:
-                state = memo[v] = _reference_state(rows, v, near[v] & alive)
+            w = (buckets[top] & -buckets[top]).bit_length() - 1
+            if w != v:
+                v, state = w, _reference_state(rows, w, near[w] & alive)
             f = _prunable_in(state, thresholds.target)
             if f is None:
                 break
             pruned.append(f)
             alive ^= 1 << f
-            hit = near[f] & alive
             shifted: dict[int, int] = {}
             for size, members in buckets.items():
                 members &= alive
-                down = members & hit
+                down = members & near[f]
                 if members ^ down:
                     shifted[size] = shifted.get(size, 0) | members ^ down
                 if down:
                     shifted[size - 1] = shifted.get(size - 1, 0) | down
             buckets = shifted
-            for j, state in memo.items():
-                if hit >> j & 1:
-                    _forget(state, f)
         current = _survivors(current, alive)
     return None, current, pruned
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -625,28 +626,35 @@ class TestBench:
 
 
 FO_TOOLING = ["divset.fologic", "divset.reductions"]
+# `random` is left out: `site` may load it (certifi -> tempfile -> random).
+STDLIB = ["hashlib", "json"]
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, loaded, stdlib",
     [
-        (None, []),
-        (["solve", "{instance}"], []),
-        (["verify", "{instance}", "{solution}"], []),
-        (["bench", "--only", "params-k"], []),
-        (["fo", "check", "{formula}", "{graph}"], FO_TOOLING),
+        (None, [], []),
+        (["solve", "{instance}"], [], []),
+        (["solve", "{instance}", "--report", "{report}"], [], STDLIB),
+        (["verify", "{instance}", "{solution}"], [], []),
+        (["bench", "--only", "params-k"], [], ["hashlib"]),
+        (["fo", "check", "{formula}", "{graph}"], FO_TOOLING, []),
     ],
-    ids=["solver-import", "solve", "verify", "bench", "fo-check"],
+    ids=["solver-import", "solve", "solve-report", "verify", "bench", "fo-check"],
 )
-def test_solver_import_leaves_fo_tooling_unloaded(tmp_path, argv, loaded):
+def test_solver_import_leaves_fo_tooling_unloaded(tmp_path, argv, loaded, stdlib):
     # The package exports nothing, so a module loads only what it imports,
     # and the command line loads the FO tooling only for the commands that
-    # use it.  `fo check` loads both, so the check is not vacuous.
+    # use it, and `hashlib` and `json` only where it digests or writes a
+    # report.  `fo check` loads the tooling and `solve --report` both
+    # modules, so the checks are not vacuous.  The child prints a repr, so
+    # that it loads no `json` of its own.
     files = {
         "instance": write(tmp_path / "yes.inst", "3 2 2\n000\n111\n"),
         "solution": write(tmp_path / "yes.sol", "YES\n000\n111\nS: 0 1\n"),
         "formula": write(tmp_path / "f.fo", "forall x. exists y. E(x,y)\n"),
         "graph": write(tmp_path / "k2.graph", "2 1\n1 2\n"),
+        "report": str(tmp_path / "report.json"),
     }
     if argv is None:
         run = "import divset.solver, divset.vectors\ncode = 0"
@@ -656,15 +664,15 @@ def test_solver_import_leaves_fo_tooling_unloaded(tmp_path, argv, loaded):
             "import contextlib, io, divset.cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()): code = divset.cli.main({argv!r})"
         )
-    script = f"""import json, sys
+    script = f"""import sys
 {run}
-print(json.dumps([code, [m for m in {FO_TOOLING!r} if m in sys.modules]]))
+print(repr([code, [m for m in {FO_TOOLING + STDLIB!r} if m in sys.modules]]))
 """
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert json.loads(done.stdout) == [0, loaded]
+    assert ast.literal_eval(done.stdout) == [0, loaded + stdlib]
 
 
 def test_wrappers_set_before_the_first_fo_call_see_it(tmp_path, capsys):

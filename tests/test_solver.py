@@ -274,55 +274,54 @@ def reference_pruned(instance, thresholds):
     return pruned
 
 
-def solve_checking_kept_states(monkeypatch, instance):
-    """`solve(instance)`, checking before each pruning call of `_kernel` and
-    after its last one that each state it built through `_reference_state`,
-    for a row not pruned, equals one built fresh from the row's
-    neighborhood among the rows not yet pruned: entries, classes, and every
-    live class's tables with their owners, in key order.  The tables of an
-    emptied class, and an emptied table, are left out: no call reads them.
-    Returns the outcome and the number of prunes that took a signature's
-    owner whose copy stayed in a kept table."""
+def solve_checking_kept_state(monkeypatch, instance):
+    """`solve(instance)`, checking before and after each pruning call of
+    `_kernel` that the state it hands the rule equals one built fresh by
+    `_reference_state` from the reference row's neighborhood among the rows
+    not yet pruned: the classes, and every live table with its owners in
+    order.  An emptied table is left out: no call reads it.  Returns the
+    outcome, the number of prunes that took a signature's owner whose copy
+    took the signature over, and the number of states built."""
     real_state, real_rule = solver._reference_state, solver._prunable_in
-    gone, copies, rows, kept = 0, 0, [], {}
+    gone, copies, builds, rows, near, reference = 0, 0, 0, None, None, None
 
     def listed(tables):
         return [(alpha, list(table.items())) for alpha, table in tables.items() if table]
 
-    def check():
-        near = solver._neighborhood_masks(rows, instance.r)
-        for w, (entries, classes, tables) in kept.items():
-            if gone >> w & 1:
-                continue
-            fresh_entries, fresh_classes, fresh_tables = real_state(rows, w, near[w] & ~gone)
-            assert (entries, classes) == (fresh_entries, fresh_classes), w
-            for key in classes:
-                assert listed(tables[key]) == listed(fresh_tables[key]), (w, key)
+    def check(state):
+        classes, tables = state
+        fresh_classes, fresh_tables = real_state(rows, reference, near[reference] & ~gone)
+        assert classes == fresh_classes, reference
+        for key in classes:
+            assert listed(tables[key]) == listed(fresh_tables[key]), (reference, key)
+        return fresh_tables
 
-    def reference_state(at, v_index, near):
-        rows[:] = at
-        state = kept[v_index] = real_state(at, v_index, near)
-        return state
+    def reference_state(at, v_index, near_v):
+        nonlocal builds, rows, near, reference
+        builds += 1
+        rows, near, reference = at, solver._neighborhood_masks(at, instance.r), v_index
+        return real_state(at, v_index, near_v)
 
     def prunable_in(state, target):
         nonlocal gone, copies
-        check()
+        tables = check(state)
         f = real_rule(state, target)
         if f is not None:
             gone |= 1 << f
-            for w, (entries, _, tables) in kept.items():
-                if w != f and f in entries:
-                    key, sig, alpha = entries[f]
-                    same = tables[key][alpha][sig]
-                    copies += len(same) > 1 and same[0] == f
+            check(state)
+            copies += any(
+                len(same) > 1 and same[0] == f
+                for by_alpha in tables.values()
+                for table in by_alpha.values()
+                for same in table.values()
+            )
         return f
 
     with monkeypatch.context() as patched:
         patched.setattr(solver, "_reference_state", reference_state)
         patched.setattr(solver, "_prunable_in", prunable_in)
         outcome = solve(instance)
-    check()
-    return outcome, copies
+    return outcome, copies, builds
 
 
 class TestPruning:
@@ -921,64 +920,72 @@ class TestSolve:
         # Greedy picks the two centres and runs out of rows, the largest
         # neighborhood moves between them as rows are pruned, and some rows
         # sit exactly r+1 from the pruned ones, so stale or misapplied
-        # neighborhood sizes change which rows go.
+        # neighborhood sizes change which rows go.  Each move of the
+        # reference row builds its state again.
         rng = random.Random(1)
         thresholds = Thresholds(4, 3)
         patch_gates(monkeypatch, 4, 3)
-        chains = 0
+        chains, rebuilds = 0, 0
         for _ in range(30):
             instance = self.two_centres(rng, 0)
-            outcome, _ = solve_checking_kept_states(monkeypatch, instance)
+            outcome, _, built = solve_checking_kept_state(monkeypatch, instance)
             assert list(outcome.trace) == reference_pruned(instance, thresholds)
             expected = exhaustive_solve(instance, max_rows=instance.n)
             assert outcome.answer == expected.answer
             assert verify_solution(instance, outcome.witness).ok
             chains += len(outcome.trace) >= 2
-        assert chains >= 25
+            rebuilds += built - 1
+        assert chains >= 25 and rebuilds >= 40
 
     def test_kernel_prunes_like_full_recompute_with_copies(self, monkeypatch):
         # Copies share their row's signature, so pruning a signature's owner
-        # hands the signature to its copy in the kept tables, a later row
-        # that must take the owner's place in the tables' key order.
+        # hands the signature to its copy in the kept table, a later row
+        # that must take the owner's place in the table's key order.
         rng = random.Random(2)
         thresholds = Thresholds(4, 3)
         patch_gates(monkeypatch, 4, 3)
-        handed = 0
+        handed, rebuilds = 0, 0
         for _ in range(30):
             instance = self.two_centres(rng, 3)
-            outcome, copies = solve_checking_kept_states(monkeypatch, instance)
+            outcome, copies, built = solve_checking_kept_state(monkeypatch, instance)
             assert list(outcome.trace) == reference_pruned(instance, thresholds)
             assert outcome.answer == exhaustive_solve(instance, max_rows=instance.n).answer
             assert verify_solution(instance, outcome.witness).ok
             handed += copies
-        assert handed >= 60
+            rebuilds += built - 1
+        assert handed >= 60 and rebuilds >= 80
 
-    def test_kernel_drops_a_kept_class_that_empties(self, monkeypatch):
-        # A prune takes the last row of some class out of a kept state, so
-        # `_forget` deletes that class; a class left behind empty would sit
-        # in the kept classes where a fresh build has none.
+    def test_pruned_rows_class_keeps_a_row(self, monkeypatch):
+        # The rule takes the pruned row out of its class in the kept state.
+        # The class holds more than alpha! * (target-1)^alpha >= 1 other
+        # distinct signatures, so it still holds a row after each prune:
+        # the kernel has no branch for a class that empties.
         texts = (
             "010 0?? 01? 00? 101 000 001 001 101 010 000 000 0?0 111 010 ?0? 010 ?01 001 000 00?"
             " ??? 001 001 001"
         ).split()
         instance = inst(texts, 3, 2, 3)
-        emptied = 0
-        real = solver._forget
+        prunes = 0
+        real = solver._prunable_in
 
-        def counted_forget(state, f):
-            nonlocal emptied
-            entries, classes, _ = state
-            emptied += len(classes[entries[f][0]]) == 1
-            real(state, f)
+        def checked_rule(state, target):
+            nonlocal prunes
+            classes, _ = state
+            class_of = {j: key for key, members in classes.items() for j in members}
+            f = real(state, target)
+            if f is not None:
+                prunes += 1
+                assert classes[class_of[f]], f
+            return f
 
-        monkeypatch.setattr(solver, "_forget", counted_forget)
+        monkeypatch.setattr(solver, "_prunable_in", checked_rule)
         patch_gates(monkeypatch, 6, 2)
-        outcome, _ = solve_checking_kept_states(monkeypatch, instance)
+        outcome, _, _ = solve_checking_kept_state(monkeypatch, instance)
         reduced, removals = reduce(instance)
         expected = [e.index for e in reference_pruned(reduced, Thresholds(6, 2))]
         pruned = [Removal(i, PRUNED) for i in solver._at_input(expected, removals)]
         assert list(outcome.trace) == removals + pruned
-        assert emptied >= 1
+        assert prunes >= 1
         assert not outcome.answer
         assert not exhaustive_solve(instance, max_rows=instance.n).answer
 
@@ -1006,7 +1013,8 @@ class TestSolve:
         # reaches the certified gate 27.  The kernel prunes down to 53 rows,
         # below k * gate = 54, and the exact search decides.
         instance = inst(chain_rows(random.Random(d), d), 2, 0, d)
-        outcome, _ = solve_checking_kept_states(monkeypatch, instance)
+        outcome, _, builds = solve_checking_kept_state(monkeypatch, instance)
+        assert builds == 1
         assert [e.kind for e in outcome.trace] == [PRUNED] * pruned
         assert list(outcome.trace) == reference_pruned(instance, Thresholds.for_parameters(2, 0))
         assert dict(outcome.stats)["kernel_rows"] == 54
@@ -1016,10 +1024,10 @@ class TestSolve:
     def test_prunes_walk_no_neighborhood(self, monkeypatch):
         # The 801-row chain prunes 748 rows, and the pruned row's
         # neighborhood holds every row still alive.  The kernel lists the
-        # rows of a neighborhood only to build a reference state, and of
-        # `alive` once, for the exact search, so `_bit_indices` walks at
-        # most (states + 1) * n bits; a walk over each pruned row's
-        # neighborhood text would take about 600,000.
+        # rows of a neighborhood only to build the reference state, once,
+        # and of `alive` once, for the exact search, so `_bit_indices` walks
+        # at most 2 * n bits; a walk over each pruned row's neighborhood
+        # text would take about 600,000.
         instance = inst(chain_rows(random.Random(801), 800), 2, 0)
         walked, states = 0, 0
         bit_indices, reference_state = solver._bit_indices, solver._reference_state
@@ -1039,7 +1047,7 @@ class TestSolve:
         outcome = solve(instance)
         assert [e.kind for e in outcome.trace] == [PRUNED] * 748
         assert outcome.method == "brute-force"
-        assert 1 <= states and walked <= (states + 1) * instance.n
+        assert states == 1 and walked <= 2 * instance.n
 
     def test_kernel_names_pruned_rows_by_input_index(self):
         # The d=60 chain, its first three rows in three copies each: `reduce`
