@@ -4,14 +4,18 @@ Two independent-set encodings are provided: one whose pair distances land on
 exactly two values (2n-4 for adjacent vertices, 2n-2 otherwise), and one
 targeting distance threshold 2 via a twice-subdivided graph, in two
 coordinate layouts.  `hypercube_embedding` realizes a graph's
-subdivide-once-plus-leaf variant as unit-distance rows.
+subdivide-once-plus-leaf variant as unit-distance rows.  Every row is built
+from its ones mask by `PartialVector.from_mask`, with coordinate c (1-based)
+at mask bit d-c.  `distance_graph` finds unit-distance edges by looking up
+each row with one of its set bits cleared, and tests every pair only at
+other thresholds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .errors import ContractError, DimensionMismatch, ParseError
 from .solver import exhaustive_solve
@@ -89,13 +93,6 @@ def serialize_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_from_coords(coords: Iterable[int], d: int) -> PartialVector:
-    chars = ["0"] * d
-    for c in coords:
-        chars[c - 1] = "1"
-    return PartialVector("".join(chars))
-
-
 def independent_set_to_diversity(graph: Graph, k: int) -> Instance:
     """Encode an independent-set question as a diversity instance with
     threshold r = 2n-4.
@@ -136,11 +133,14 @@ def independent_set_to_r2(graph: Graph, k: int, mode: str = "verbatim") -> Insta
         raise ValueError(f"unknown mode {mode!r}")
     n = graph.n
     d = 2 * n
-    slot = {i: (i, i + 1) if mode == "verbatim" else (2 * i - 1, 2 * i) for i in range(1, n + 1)}
-    rows = [_row_from_coords(slot[i], d) for i in range(1, n + 1)]
+    # Coordinate c is the mask bit d-c: `first[i]` is the first coordinate
+    # of i's slot, and `slot[i]` adds the next one.
+    first = {i: 1 << (d - (i if mode == "verbatim" else 2 * i - 1)) for i in range(1, n + 1)}
+    slot = {i: bit | bit >> 1 for i, bit in first.items()}
+    rows = [PartialVector.from_mask(slot[i], d) for i in range(1, n + 1)]
     for i, j in graph.edges:
-        rows.append(_row_from_coords((*slot[i], slot[j][0]), d))
-        rows.append(_row_from_coords((*slot[j], slot[i][0]), d))
+        rows.append(PartialVector.from_mask(slot[i] | first[j], d))
+        rows.append(PartialVector.from_mask(slot[j] | first[i], d))
     return Instance(tuple(rows), graph.m + k, 2, d)
 
 
@@ -154,10 +154,13 @@ def hypercube_embedding(graph: Graph) -> tuple[PartialVector, ...]:
     """
     n, m = graph.n, graph.m
     d = n + m
-    rows = [_row_from_coords([i], d) for i in range(1, n + 1)]
+    # Coordinate c is the mask bit d-c, so vertex i is bit d-i and edge l's
+    # leaf coordinate n+l is bit m-l.
+    rows = [PartialVector.from_mask(1 << (d - i), d) for i in range(1, n + 1)]
     for idx, (i, j) in enumerate(graph.edges, start=1):
-        rows.append(_row_from_coords([i, j], d))
-        rows.append(_row_from_coords([i, j, n + idx], d))
+        pair = 1 << (d - i) | 1 << (d - j)
+        rows.append(PartialVector.from_mask(pair, d))
+        rows.append(PartialVector.from_mask(pair | 1 << (m - idx), d))
     return tuple(rows)
 
 
@@ -181,7 +184,17 @@ def distance_graph(rows: Sequence[PartialVector], r: int) -> Graph:
     Hamming distance lies in [1, r], edges in ascending pair order.  Rows
     must be fully known and as long as row 0.  A complete row's known ones
     are the whole row, so the distance of two rows is the popcount of the
-    XOR of their `ones` masks."""
+    XOR of their `ones` masks.
+
+    At r = 1, the FO transfer's case, no pair is tested.  Two complete rows
+    sit at distance 1 exactly when they differ in one coordinate, so the
+    row holding a one there is the other plus that one bit: every edge is
+    found once, from its heavier end, by clearing each set bit of a row in
+    turn and looking the result up among the rows' masks.  That costs the
+    sum of the rows' popcounts in lookups, n+5m on the `hypercube_embedding`
+    of an n-vertex, m-edge graph, then a sort of the edges into pair order.
+    Every other r tests each pair of rows.
+    """
     for i, row in enumerate(rows):
         if not row.is_complete:
             raise ContractError(f"row {i} contains unknown entries")
@@ -190,10 +203,23 @@ def distance_graph(rows: Sequence[PartialVector], r: int) -> Graph:
             raise DimensionMismatch(f"vector length {rows[0].d} vs {row.d}")
     masks = [row.ones for row in rows]
     edges = []
-    for i, a in enumerate(masks, start=1):
-        for j, b in enumerate(masks[i:], start=i + 1):
-            if 1 <= (a ^ b).bit_count() <= r:
-                edges.append((i, j))
+    if r == 1:
+        holders: dict[int, list[int]] = {}
+        for i, mask in enumerate(masks, start=1):
+            holders.setdefault(mask, []).append(i)
+        for i, mask in enumerate(masks, start=1):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                for j in holders.get(mask ^ bit, ()):
+                    edges.append((j, i) if j < i else (i, j))
+        edges.sort()
+    else:
+        for i, a in enumerate(masks, start=1):
+            for j, b in enumerate(masks[i:], start=i + 1):
+                if 1 <= (a ^ b).bit_count() <= r:
+                    edges.append((i, j))
     return Graph(len(rows), tuple(edges))
 
 

@@ -429,10 +429,6 @@ def _prunable_in(state: _State, target: int) -> int | None:
     return None
 
 
-def _mask_text(mask: int, d: int) -> str:
-    return format(mask, f"0{d}b") if d else ""
-
-
 def _completion_masks(row: PartialVector) -> list[int]:
     """Every completion of one row as a bit mask, unknowns counting up with
     the leftmost unknown as the most significant digit.  Built by doubling,
@@ -456,8 +452,9 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     callable on anything.
 
     Two rows are compatible when their guaranteed disagreements plus every
-    coordinate unknown in at least one of them reach r+1; a valid subset is
-    a k-clique of that graph.  Row a's compatible later rows (one int
+    coordinate unknown in at least one of them reach r+1, that is, when
+    they know and agree on at most d-r-1 coordinates; a valid subset is a
+    k-clique of that graph.  Row a's compatible later rows (one int
     bitset) and a row's completion masks are built on first use and cached
     for the rest of the call.  One loop yields the cliques in
     `itertools.combinations` order: `levels[t]` holds the candidates for
@@ -476,18 +473,19 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     k, r, d = instance.k, instance.r, instance.d
     rows, n = instance.rows, instance.n
     need = r + 1
-    unknown_masks = [((1 << row.d) - 1) ^ (row.ones | row.zeros) for row in rows]
+    ones = [row.ones for row in rows]
+    zeros = [row.zeros for row in rows]
+    most_agreed = d - need
 
     @functools.cache
     def later_of(a: int) -> int:
-        ra, ua = rows[a], unknown_masks[a]
+        oa, za = ones[a], zeros[a]
         bits = 0
         for b in range(a + 1, n):
-            rb = rows[b]
-            sure = ((ra.ones & rb.zeros) | (ra.zeros & rb.ones)).bit_count()
-            # Best reachable distance: guaranteed disagreements plus every
-            # coordinate unknown in at least one of the two rows.
-            if sure + (ua | unknown_masks[b]).bit_count() >= need:
+            # The best reachable distance, sure disagreements plus columns
+            # unknown in either row, is d minus the columns both rows know
+            # and agree on.
+            if ((oa & ones[b]) | (za & zeros[b])).bit_count() <= most_agreed:
                 bits |= 1 << b
         return bits
 
@@ -517,7 +515,7 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
             continue
         chosen = _assign([masks_of(i) for i in subset], need)
         if chosen is not None:
-            return {i: PartialVector(_mask_text(mask, d)) for i, mask in zip(subset, chosen)}
+            return {i: PartialVector.from_mask(mask, d) for i, mask in zip(subset, chosen)}
     return None
 
 
@@ -649,7 +647,7 @@ def exhaustive_solve(
     if best is None:
         return SolveOutcome(None, (), "exhaustive")
     best_profile, final_subset = best
-    completed = tuple(PartialVector(_mask_text(m, d)) for m in best_profile)
+    completed = tuple(PartialVector.from_mask(m, d) for m in best_profile)
     witness = Solution(completed, frozenset(final_subset))
     return SolveOutcome(witness, (), "exhaustive")
 

@@ -33,7 +33,8 @@ class PartialVector:
     `int`.  It stores the length `d`, two bit masks, known ones and known
     zeros, and `unknown_count`, the bits in neither.  Distances read the
     masks, so they cost O(d / word size) instead of a character loop, and
-    `complete_zeros` builds its result from them without parsing text again.
+    `complete_zeros` and `from_mask` build complete rows from masks without
+    parsing text.
     """
 
     __slots__ = ("text", "d", "ones", "zeros", "unknown_count")
@@ -52,6 +53,21 @@ class PartialVector:
         self.ones = ones
         self.zeros = zeros
         self.unknown_count = d - (ones | zeros).bit_count()
+
+    @classmethod
+    def from_mask(cls, mask: int, d: int) -> "PartialVector":
+        """The complete row of length d whose ones are the set bits of mask,
+        built from the mask with no text to parse; mask must lie in
+        [0, 2^d)."""
+        if not 0 <= mask < 1 << d:
+            raise ValueError(f"mask {mask} does not fit in {d} bits")
+        row = object.__new__(cls)
+        row.text = format(mask, f"0{d}b") if d else ""
+        row.d = d
+        row.ones = mask
+        row.zeros = ((1 << d) - 1) ^ mask
+        row.unknown_count = 0
+        return row
 
     @property
     def is_complete(self) -> bool:

@@ -207,8 +207,60 @@ class TestEmbedding:
             assert embedded.n == expected.n
             assert embedded.edge_set() == expected.edge_set()
 
+    def test_rows_carry_ones_at_their_coordinates(self):
+        # A text reference: each row holds its ones exactly at the 1-based
+        # coordinates that `hypercube_embedding`'s docstring names.
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            d = g.n + g.m
+            coords = [[i] for i in range(1, g.n + 1)]
+            for idx, (i, j) in enumerate(g.edges, start=1):
+                coords += [[i, j], [i, j, g.n + idx]]
+            want = ["".join("1" if c in cs else "0" for c in range(1, d + 1)) for cs in coords]
+            got = [(row.text, row.d, row.ones, row.zeros, row.unknown_count) for row in hypercube_embedding(g)]
+            parsed = [PartialVector(text) for text in want]
+            assert got == [(v.text, v.d, v.ones, v.zeros, v.unknown_count) for v in parsed]
+
+
+def seeded_graph_300_900():
+    """The seeded 300-vertex, 900-edge graph that CI's `fo harness` step
+    writes too."""
+    rng = random.Random(3)
+    pairs = [(u, v) for u in range(1, 301) for v in range(u + 1, 301)]
+    return Graph(300, tuple(sorted(rng.sample(pairs, 900))))
+
 
 class TestDistanceGraph:
+    def test_large_embedding_is_subdivision_in_pair_order(self):
+        g = seeded_graph_300_900()
+        rows = hypercube_embedding(g)
+        embedded = distance_graph(rows, 1)
+        assert (len(rows), len(embedded.edges)) == (2100, 2700)
+        assert embedded.edges == tuple(sorted(subdivided_with_leaves(g).edges))
+
+    def test_unit_distance_matches_pairwise_on_sparse_rows(self):
+        # Sparse rows from a small pool repeat, so one mask has several
+        # holders and each edge to it must be listed once per holder.
+        rng = random.Random(64)
+        shared = edges = 0
+        for d in range(0, 65):
+            for _ in range(6):
+                # Up to 4 ones each; three more rows one flip from others.
+                pool = [sum(1 << b for b in rng.sample(range(d), min(d, rng.randint(0, 4)))) for _ in range(6)]
+                pool += [m ^ 1 << rng.randrange(d) for m in pool[:3]] if d else []
+                masks = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+                rows = [PartialVector.from_mask(m, d) for m in masks]
+                expected = tuple(
+                    (i + 1, j + 1)
+                    for i, j in itertools.combinations(range(len(rows)), 2)
+                    if known_distance(rows[i], rows[j]) == 1
+                )
+                assert distance_graph(rows, 1).edges == expected, (d, masks)
+                shared += len(masks) > len(set(masks))
+                edges += len(expected)
+        assert shared > 100 and edges > 1000
+
     def test_r0_is_edgeless(self):
         rows = hypercube_embedding(K2)
         assert distance_graph(rows, 0).edges == ()

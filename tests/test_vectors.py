@@ -99,6 +99,32 @@ class TestCompleteZeros:
         assert v.complete_zeros() is v
 
 
+class TestFromMask:
+    def test_matches_parsed_text(self):
+        rng = random.Random(43)
+        cases = [(0, 0), (0, 1), (1, 1), (0, 70), (2**70 - 1, 70)]
+        for _ in range(2000):
+            d = rng.randint(0, 70)
+            cases.append((rng.getrandbits(d) if d else 0, d))
+        for mask, d in cases:
+            got = PartialVector.from_mask(mask, d)
+            want = pv(format(mask, f"0{d}b") if d else "")
+            assert (got.text, got.d, got.ones, got.zeros, got.unknown_count) == (
+                want.text,
+                want.d,
+                want.ones,
+                want.zeros,
+                want.unknown_count,
+            ), (mask, d)
+            assert got == want and got.is_complete
+        assert PartialVector.from_mask(0, 0).text == ""
+
+    @pytest.mark.parametrize("mask, d", [(1, 0), (4, 2), (2**70, 70), (-1, 3), (-1, 0)])
+    def test_rejects_masks_out_of_range(self, mask, d):
+        with pytest.raises(ValueError, match=f"^mask {mask} does not fit in {d} bits$"):
+            PartialVector.from_mask(mask, d)
+
+
 class TestLengthChecks:
     def test_instance_rejects_row_of_other_length(self):
         with pytest.raises(DimensionMismatch, match="row 1 has length 3, expected 2"):
