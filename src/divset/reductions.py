@@ -4,11 +4,12 @@ Two independent-set encodings are provided: one whose pair distances land on
 exactly two values (2n-4 for adjacent vertices, 2n-2 otherwise), and one
 targeting distance threshold 2 via a twice-subdivided graph, in two
 coordinate layouts.  `hypercube_embedding` realizes a graph's
-subdivide-once-plus-leaf variant as unit-distance rows.  Every row is built
-from its ones mask by `PartialVector.from_mask`, with coordinate c (1-based)
-at mask bit d-c.  `distance_graph` finds unit-distance edges by looking up
-each row with one of its set bits cleared, and tests every pair only at
-other thresholds.
+subdivide-once-plus-leaf variant as unit-distance rows.  Every row the
+encodings and the embedding make is built from its ones mask by
+`PartialVector.from_mask`, with coordinate c (1-based) at mask bit d-c, so
+no row is written as text and parsed again.  `distance_graph` finds
+unit-distance edges by looking up each row with one of its set bits
+cleared, and tests every pair only at other thresholds.
 """
 
 from __future__ import annotations
@@ -107,15 +108,17 @@ def independent_set_to_diversity(graph: Graph, k: int) -> Instance:
     if n < 2:
         raise ValueError("encoding needs at least two vertices (r = 2n-4 would be negative)")
     d = m + n * (n - 1)
-    adj = graph.adjacency()
+    # Coordinate c is the mask bit d-c.  Edge l's bit d-l is set as bit m-l
+    # and shifted past the blocks; vertex i's block follows m+(i-1)(n-1).
+    incidence = [0] * (n + 1)
+    for idx, (i, j) in enumerate(graph.edges, start=1):
+        incidence[i] |= 1 << (m - idx)
+        incidence[j] |= 1 << (m - idx)
     rows = []
     for i in range(1, n + 1):
-        incidence = "".join("1" if i in e else "0" for e in graph.edges)
-        deg = len(adj[i])
-        private = "1" * (n - 1 - deg) + "0" * deg
-        before = "0" * ((i - 1) * (n - 1))
-        after = "0" * ((n - i) * (n - 1))
-        rows.append(PartialVector(incidence + before + private + after))
+        lead = n - 1 - incidence[i].bit_count()
+        block = ((1 << lead) - 1) << (d - m - (i - 1) * (n - 1) - lead)
+        rows.append(PartialVector.from_mask(incidence[i] << (d - m) | block, d))
     return Instance(tuple(rows), k, 2 * n - 4, d)
 
 

@@ -219,11 +219,11 @@ def lift_heavy_row(picks: dict[int, PartialVector], row: PartialVector, r: int) 
     """The completion of `row`, a heavy row `reduce` removed, which joins
     `picks`, the picked rows by input index.  `lift` adds it to the picks.
 
-    Takes the (k-1)(r+1) lowest unknown coordinates of the removed row,
-    splits them in index order into k-1 blocks of r+1, and fills block i with
-    the opposite of the i-th picked row; every other unknown becomes 0.
-    The completed row then disagrees with each picked row on a full block,
-    so it joins them at distance >= r+1.  Linear time.
+    Takes the (k-1)(r+1) lowest unknown coordinates of the removed row, the
+    highest bits of its unknown mask, in k-1 blocks of r+1, and sets a one in
+    block i wherever the i-th picked row by index has a zero; every other
+    unknown becomes 0.  The completed row then disagrees with each picked
+    row on a full block, so it joins them at distance >= r+1.
     """
     order = [picks[i] for i in sorted(picks)]
     if not all(s.is_complete for s in order):
@@ -231,15 +231,16 @@ def lift_heavy_row(picks: dict[int, PartialVector], row: PartialVector, r: int) 
     if any(known_distance(s, t) < r + 1 for s, t in itertools.combinations(order, 2)):
         raise ContractError("reduced witness is not a valid diversity set")
 
-    need = len(order) * (r + 1)
-    unknown = row.unknown_positions()
-    if len(unknown) < need:
+    if row.unknown_count < len(order) * (r + 1):
         raise ContractError("removed row lacks the unknown coordinates the lift requires")
-    bits = dict.fromkeys(unknown[need:], "0")
-    for i, s in enumerate(order):
-        for j in unknown[i * (r + 1) : (i + 1) * (r + 1)]:
-            bits[j] = "1" if s.text[j] == "0" else "0"
-    v_star = row.completed_with(bits)
+    unknown = ((1 << row.d) - 1) ^ (row.ones | row.zeros)
+    ones = row.ones
+    for s in order:
+        for _ in range(r + 1):
+            bit = 1 << (unknown.bit_length() - 1)
+            unknown ^= bit
+            ones |= bit & s.zeros
+    v_star = PartialVector.from_mask(ones, row.d)
 
     if any(known_distance(v_star, s) < r + 1 for s in order):
         raise ContractError("lift construction failed to reach the distance bound")
@@ -451,24 +452,25 @@ def brute_force(instance: Instance) -> dict[int, PartialVector] | None:
     outside the subset.  Intended for instances below the row gate but
     callable on anything.
 
-    Two rows are compatible when their guaranteed disagreements plus every
-    coordinate unknown in at least one of them reach r+1, that is, when
-    they know and agree on at most d-r-1 coordinates; a valid subset is a
-    k-clique of that graph.  Row a's compatible later rows (one int
-    bitset) and a row's completion masks are built on first use and cached
-    for the rest of the call.  One loop yields the cliques in
-    `itertools.combinations` order: `levels[t]` holds the candidates for
-    `clique[t]`; it takes the top level's lowest, pushes the later ones
-    compatible with it, and pops a level once it holds fewer candidates
-    than rows are missing.  Third, Plotkin's
-    count: a completion's pair distances sum, column by column, to the pairs
-    each column splits, at most floor(k^2/4) where some row is unknown and
-    the known disagreements elsewhere; a clique whose sum stays below
-    C(k,2)(r+1), or holding three rows whose sum stays below 3(r+1), is
-    skipped; the triples are counted only when the pairs' slack says one
-    might fall short.  The rest go to `_assign`.  All cuts only skip
-    subsets or completions that hold no solution, so the witness is the
-    one a plain walk over all subsets and completions finds first.
+    Three cuts skip subsets.  First, the pair filter: two rows are
+    compatible when their guaranteed disagreements plus every coordinate
+    unknown in at least one of them reach r+1, that is, when they know and
+    agree on at most d-r-1 coordinates; a valid subset is a k-clique of
+    that graph.  Row a's compatible later rows (one int bitset) and a row's
+    completion masks are built on first use and cached for the rest of the
+    call.  One loop yields the cliques in `itertools.combinations` order:
+    `levels[t]` holds the candidates for `clique[t]`; it takes the top
+    level's lowest and pushes the later ones compatible with it.  Second,
+    it pops a level once it holds fewer candidates than rows are missing.
+    Third, Plotkin's count: a completion's pair distances sum, column by
+    column, to the pairs each column splits, at most floor(k^2/4) where
+    some row is unknown and the known disagreements elsewhere; a clique
+    whose sum stays below C(k,2)(r+1), or holding three rows whose sum
+    stays below 3(r+1), is skipped; the triples are counted only when the
+    pairs' slack says one might fall short.  The rest go to `_assign`.  All
+    cuts only skip subsets or completions that hold no solution, so the
+    witness is the one a plain walk over all subsets and completions finds
+    first.
     """
     k, r, d = instance.k, instance.r, instance.d
     rows, n = instance.rows, instance.n
@@ -525,15 +527,16 @@ def _below_plotkin(clique: Sequence[PartialVector], need: int) -> bool:
     so no completion is pairwise `need` apart (`brute_force`'s third cut).
 
     The C(k,3) triples are walked only when one might fall short.  Let b_xy
-    be a pair's best reachable distance: sure disagreements plus columns
-    unknown in either row.  In a triple, a column unknown in some row adds 2
-    to its count and at most 3 to the sum of its three b_xy (at most 1 per
-    pair); any other column adds the same to both.  So the count is at least
-    that sum minus |U|, U the columns unknown in some row of the three, and
-    |U| is at most three times the largest unknown count m of a clique row.
-    With slack = min b_xy - need over the clique's pairs, every triple
-    counts at least 3 * need + 3 * slack - 3 * m, so none falls short once
-    slack >= m."""
+    be a pair's best reachable distance, d minus the columns both rows know
+    and agree on, as the pair filter reads it: sure disagreements plus
+    columns unknown in either row.  In a triple, a column unknown in some
+    row adds 2 to its count and at most 3 to the sum of its three b_xy (at
+    most 1 per pair); any other column adds the same to both.  So the count
+    is at least that sum minus |U|, U the columns unknown in some row of the
+    three, and |U| is at most three times the largest unknown count m of a
+    clique row.  With slack = min b_xy - need over the clique's pairs, every
+    triple counts at least 3 * need + 3 * slack - 3 * m, so none falls short
+    once slack >= m."""
     k = len(clique)
     if k < 3:
         return False  # at k = 2 the bound is the pair filter
@@ -549,8 +552,7 @@ def _below_plotkin(clique: Sequence[PartialVector], need: int) -> bool:
     if k == 3:
         return False
     slack = min(
-        ((a.ones & b.zeros) | (a.zeros & b.ones)).bit_count()
-        + d - ((a.ones | a.zeros) & (b.ones | b.zeros)).bit_count()
+        d - ((a.ones & b.ones) | (a.zeros & b.zeros)).bit_count()
         for a, b in itertools.combinations(clique, 2)
     ) - need
     if slack >= max(row.unknown_count for row in clique):
@@ -625,8 +627,10 @@ def exhaustive_solve(
     comp: list[list[int]] = []
     for row in rows:
         variants = [row.ones]
-        for p in row.unknown_positions():
-            bit = 1 << (d - 1 - p)
+        unknown = ((1 << d) - 1) ^ (row.ones | row.zeros)
+        while unknown:
+            bit = 1 << (unknown.bit_length() - 1)
+            unknown ^= bit
             variants = [v for base in variants for v in (base, base | bit)]
         comp.append(variants)
     zero_profile = tuple(c[0] for c in comp)

@@ -73,10 +73,6 @@ class PartialVector:
     def is_complete(self) -> bool:
         return self.unknown_count == 0
 
-    def unknown_positions(self) -> list[int]:
-        """0-based text positions holding '?', ascending."""
-        return [i for i, c in enumerate(self.text) if c == UNKNOWN]
-
     def complete_zeros(self) -> "PartialVector":
         """The completion that sets every unknown entry to 0."""
         if self.unknown_count == 0:
@@ -89,15 +85,6 @@ class PartialVector:
         done.zeros = ((1 << self.d) - 1) ^ self.ones
         done.unknown_count = 0
         return done
-
-    def completed_with(self, bits: dict[int, str]) -> "PartialVector":
-        """Fill the given unknown positions with '0'/'1'; refuses to touch known entries."""
-        chars = list(self.text)
-        for pos, bit in bits.items():
-            if chars[pos] != UNKNOWN:
-                raise ValueError(f"position {pos} is already known")
-            chars[pos] = bit
-        return PartialVector("".join(chars))
 
     def __len__(self) -> int:
         return self.d

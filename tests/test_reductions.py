@@ -83,6 +83,31 @@ class TestDiversityEncoding:
         assert known_distance(instance.rows[0], instance.rows[1]) == 2
         assert known_distance(instance.rows[0], instance.rows[2]) == 4
 
+    def test_rows_match_text_layout(self):
+        # Each row written out as text: its incidence over the edge order,
+        # then n blocks of n-1, its own holding n-1-deg ones first.
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.choice([0.0, 1.0, rng.random()]))
+            instance = independent_set_to_diversity(g, 2)
+            assert instance.d == g.m + n * (n - 1)
+            for i, row in enumerate(instance.rows, start=1):
+                deg = sum(i in e for e in g.edges)
+                expected = PartialVector(
+                    "".join("1" if i in e else "0" for e in g.edges)
+                    + "0" * ((i - 1) * (n - 1))
+                    + "1" * (n - 1 - deg)
+                    + "0" * deg
+                    + "0" * ((n - i) * (n - 1))
+                )
+                assert (row.text, row.ones, row.zeros, row.unknown_count) == (
+                    expected.text,
+                    expected.ones,
+                    expected.zeros,
+                    0,
+                ), (g, i)
+
     def test_k2_degenerate(self):
         instance = independent_set_to_diversity(K2, 1)
         assert instance.r == 0

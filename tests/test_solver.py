@@ -48,6 +48,12 @@ def inst(texts, k, r, d=None):
     return Instance.from_texts(texts, k, r, d)
 
 
+def fill_unknowns(row, bits):
+    """The row with its '?' filled left to right by the next items of bits."""
+    bits = iter(bits)
+    return PartialVector("".join(next(bits) if c == "?" else c for c in row.text))
+
+
 def patch_gates(monkeypatch, gate, target):
     """Replace the certified gates, which `Thresholds.for_parameters` looks up
     at call time, so `solve` reaches the kernel on desk-size inputs.  The
@@ -127,6 +133,40 @@ class TestHeavyRows:
         lifted = lift(inst(["??"], 1, 3), {}, (removal,))
         assert lifted.completed[0].text == "00"
         assert lifted.selected == {0}
+
+    def test_lift_heavy_row_matches_text_construction(self):
+        # The lift written out on text: the '?' positions in order, block i
+        # of r+1 set opposite to the i-th pick by index, the rest set to 0.
+        rng = random.Random(37)
+        for _ in range(600):
+            k, r = rng.randint(1, 4), rng.randint(0, 3)
+            need = (k - 1) * (r + 1)
+            d = rng.randint(max(need, r + 1, 1), need + 6)
+            while True:
+                order = ["".join(rng.choice("01") for _ in range(d)) for _ in range(k - 1)]
+                if all(
+                    sum(x != y for x, y in zip(s, t)) > r
+                    for s, t in itertools.combinations(order, 2)
+                ):
+                    break
+            indices = sorted(rng.sample(range(20), k - 1))
+            picks = dict(zip(indices, map(PartialVector, order)))
+            picks = dict(rng.sample(list(picks.items()), k - 1))  # any dict order
+            holes = set(rng.sample(range(d), rng.randint(need, d)))
+            text = "".join("?" if p in holes else rng.choice("01") for p in range(d))
+            positions = sorted(holes)
+            chars = list(text.replace("?", "0"))
+            for i, s in enumerate(order):
+                for p in positions[i * (r + 1) : (i + 1) * (r + 1)]:
+                    chars[p] = "1" if s[p] == "0" else "0"
+            lifted = lift_heavy_row(picks, PartialVector(text), r)
+            expected = PartialVector("".join(chars))
+            assert (lifted.text, lifted.ones, lifted.zeros, lifted.unknown_count) == (
+                expected.text,
+                expected.ones,
+                expected.zeros,
+                0,
+            ), (text, order, r)
 
     def test_lift_rejects_broken_witness(self):
         bad = {0: PartialVector("00"), 1: PartialVector("01")}
@@ -558,8 +598,7 @@ class TestBruteForce:
             options = []
             for i in subset:
                 fills = itertools.product("01", repeat=rows[i].unknown_count)
-                positions = rows[i].unknown_positions()
-                options.append([rows[i].completed_with(dict(zip(positions, f))) for f in fills])
+                options.append([fill_unknowns(rows[i], f) for f in fills])
             chosen = []
 
             def descend(depth):
@@ -1120,16 +1159,10 @@ class TestSolve:
 def naive_canonical(instance):
     """Reference for the canonical witness: scan full-grid completions in
     counting order, and subsets lexicographically within each completion."""
-    slots = [
-        (i, p) for i, row in enumerate(instance.rows) for p in row.unknown_positions()
-    ]
-    for assignment in itertools.product("01", repeat=len(slots)):
-        fills = {}
-        for (i, p), bit in zip(slots, assignment):
-            fills.setdefault(i, {})[p] = bit
-        completed = tuple(
-            row.completed_with(fills.get(i, {})) for i, row in enumerate(instance.rows)
-        )
+    slots = sum(row.unknown_count for row in instance.rows)
+    for assignment in itertools.product("01", repeat=slots):
+        bits = iter(assignment)
+        completed = tuple(fill_unknowns(row, bits) for row in instance.rows)
         for subset in itertools.combinations(range(instance.n), instance.k):
             if all(
                 known_distance(completed[a], completed[b]) > instance.r

@@ -67,9 +67,10 @@ class TestDistance:
 
 
 def _completions(v):
-    unknown = v.unknown_positions()
-    for bits in itertools.product("01", repeat=len(unknown)):
-        yield v.completed_with(dict(zip(unknown, bits)))
+    """Every completion of v, filling its '?' left to right in counting order."""
+    for bits in itertools.product("01", repeat=v.unknown_count):
+        fill = iter(bits)
+        yield pv("".join(next(fill) if c == "?" else c for c in v.text))
 
 
 class TestCompleteZeros:
